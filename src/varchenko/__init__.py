@@ -4,10 +4,10 @@ brute-force determinant over prime fields, closed-form factorizations for the
 Coxeter families, and a randomized verification harness that adjudicates the
 closed forms against ground truth."""
 
-from .closedform import formula_A, formula_B, formula_D, formula_I2, zagier
+from .closedform import (formula, formula_A, formula_B, formula_D, formula_I2,
+                         zagier)
 from .exactalg import (DEFAULT_PRIME, FactoredProduct, Monomial, PrimeField,
-                       factored_canonicalize, factored_eval,
-                       factored_specialize_all, mono_mul)
+                       factored_eval, factored_specialize_all)
 from .families import (FamilyEdgeDescriptor, FamilyKind, SignedSubset,
                        build_family, chambers_combinatorial,
                        descriptor_hyperplanes, descriptor_weight_monomial,
@@ -22,8 +22,7 @@ from .geometry import (Arrangement, Chamber, Edge, Face, Hyperplane,
 from .harness import (DetSource, FactoredDiff, VerificationReport,
                       bruteforce_source, compare_factored, factored_source,
                       parse_arrangement_file, verify_identity)
-from .matrix import (EvaluatedMatrix, SeparatingSet, degree_bound,
-                     det_bruteforce, det_mod, separating_set,
+from .matrix import (EvaluatedMatrix, degree_bound, det_bruteforce, det_mod,
                      varchenko_matrix_eval)
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .closedform import formula_A, formula_B, formula_D, formula_I2, zagier
+from .closedform import formula, zagier
 from .exactalg import (DEFAULT_PRIME, ExactAlgError, PrimeField,
                        factored_specialize_all)
 from .families import (FamilyError, FamilyKind, build_family,
@@ -35,16 +35,6 @@ class CliError(ValueError):
 
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
-
-
-def _family_formula(kind: FamilyKind):
-    if kind.letter == "A":
-        return formula_A(kind.param)
-    if kind.letter == "B":
-        return formula_B(kind.param)
-    if kind.letter == "D":
-        return formula_D(kind.param)
-    return formula_I2(kind.param)
 
 
 def _load_arrangement(args) -> tuple[Arrangement, str]:
@@ -188,7 +178,7 @@ def cmd_det(args) -> int:
 
 def cmd_formula(args) -> int:
     kind = FamilyKind.parse(args.kind)
-    f = _family_formula(kind)
+    f = formula(kind)
     if args.specialize is not None:
         f = factored_specialize_all(f, args.specialize)
     _emit_json(f.to_json_obj())
@@ -204,7 +194,7 @@ def _source(role: str, name: str, args, A: Arrangement) -> DetSource:
     if name == "formula":
         if args.kind is None:
             raise CliError(f"--{role} formula needs --kind")
-        return factored_source("formula", _family_formula(FamilyKind.parse(args.kind)))
+        return factored_source("formula", formula(FamilyKind.parse(args.kind)))
     if name == "geometric":
         _prime_chambers(A, args)
         return factored_source("geometric", factored_determinant_general(A))
@@ -243,11 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("edges", help="list relevant edges with multiplicities")
     _add_subject_args(p)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--geometric", action="store_true", default=True,
-                      help="face-scan engine (default)")
-    mode.add_argument("--combinatorial", action="store_true",
-                      help="family model with the printed multiplicities")
+    p.add_argument("--combinatorial", action="store_true",
+                   help="family model with the printed multiplicities "
+                        "(default: the face-scan engine)")
     p.add_argument("--emit", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_edges)
 

@@ -38,6 +38,10 @@ class BadVariableNameError(ExactAlgError):
     """Variable name outside the accepted grammar."""
 
 
+class InternalConsistencyError(AssertionError):
+    """An invariant of the engine failed; indicates a bug, not bad input."""
+
+
 # ---------------------------------------------------------------------------
 # Variable names
 #
@@ -152,26 +156,6 @@ class PrimeField:
     def __hash__(self):
         return hash(("PrimeField", self.p))
 
-    def element(self, x: int) -> int:
-        return x % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero in prime field")
-        return pow(a, self.p - 2, self.p)
-
     def pow(self, a: int, e: int) -> int:
         return pow(a, e, self.p)
 
@@ -245,14 +229,6 @@ class Monomial:
         return "".join(parts)
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Exponent-wise sum; degree adds, the empty monomial is the identity."""
-    exps = dict(a.powers)
-    for name, e in b.powers:
-        exps[name] = exps.get(name, 0) + e
-    return Monomial(tuple(sorted(exps.items())))
-
-
 def _mono_sort_key(m: Monomial):
     # Canonical factor order: total degree first, then variable/exponent tuples
     # compared lexicographically (plain string order on names).
@@ -319,11 +295,6 @@ class FactoredProduct:
             mono = Monomial.from_dict({name: exp for name, exp in f["monomial"]})
             factors.append((mono, int(f["exponent"])))
         return FactoredProduct(tuple(factors)).canonical()
-
-
-def factored_canonicalize(f: FactoredProduct) -> FactoredProduct:
-    """Merge equal monomials, drop zero exponents, sort.  Idempotent."""
-    return f.canonical()
 
 
 def factored_eval(f: FactoredProduct, assignment: Mapping[str, int],

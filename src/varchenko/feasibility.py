@@ -27,6 +27,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
+from .exactalg import InternalConsistencyError
+
 
 class DimensionMismatchError(ValueError):
     """A form's length does not match the ambient dimension."""
@@ -213,7 +215,10 @@ def feasible_strict(system: list[Relation], dim: int) -> Optional[tuple[Fraction
             else:
                 # equal bounds can only be weak-weak, else the combined row
                 # would have been strict and infeasible at this point
-                assert lo == up and not lo_strict and not up_strict
+                if lo != up or lo_strict or up_strict:
+                    raise InternalConsistencyError(
+                        f"empty range [{lo}, {up}] (strict: {lo_strict}, {up_strict}) "
+                        f"for variable {var} in witness back-substitution")
                 point[var] = lo
         elif lo is not None:
             point[var] = lo + 1

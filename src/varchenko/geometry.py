@@ -19,8 +19,7 @@ pipeline:
 
 Results of the expensive scans are cached on the Arrangement instance, so a
 given arrangement object pays for chamber enumeration and the face scan once.
-Caches are keyed by object identity; guards are only checked when a result is
-actually computed.
+The caller's size guards are checked on every call, cached or not.
 """
 
 from __future__ import annotations
@@ -30,7 +29,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .exactalg import FactoredProduct, Monomial, validate_var
+from .exactalg import (FactoredProduct, InternalConsistencyError, Monomial,
+                       validate_var)
 from .feasibility import feasible_strict
 
 DEFAULT_MAX_HYPERPLANES = 32
@@ -50,16 +50,20 @@ class GuardExceededError(GeometryError):
         self.limit = limit
 
 
+class DuplicateHyperplaneError(GeometryError):
+    """Hyperplane `index` repeats an earlier one's affine set or weight."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 class EmptyFaceError(GeometryError):
     """The closed chamber does not meet the hyperplane (non-central only)."""
 
 
 class EmptyIntersectionError(GeometryError):
     """The requested hyperplanes have empty common intersection."""
-
-
-class InternalConsistencyError(AssertionError):
-    """An invariant of the engine failed; indicates a bug, not bad input."""
 
 
 def _as_fraction(x) -> Fraction:
@@ -117,20 +121,23 @@ class Arrangement:
         if dimension < 1:
             raise GeometryError("dimension must be positive")
         hyps = tuple(hyperplanes)
-        keys = {}
-        weights = set()
+        keys: dict[tuple, int] = {}
+        weights: dict[str, int] = {}
         for idx, h in enumerate(hyps):
             if len(h.normal) != dimension:
                 raise GeometryError(
                     f"hyperplane {idx} has {len(h.normal)} coefficients, expected {dimension}")
             k = h.primitive_key()
             if k in keys:
-                raise GeometryError(
-                    f"hyperplanes {keys[k]} and {idx} define the same affine set")
-            keys[k] = idx
+                raise DuplicateHyperplaneError(
+                    f"hyperplane {idx} duplicates hyperplane {keys[k]} "
+                    f"(same affine set)", idx)
             if h.weight in weights:
-                raise GeometryError(f"duplicate weight variable {h.weight!r}")
-            weights.add(h.weight)
+                raise DuplicateHyperplaneError(
+                    f"hyperplane {idx} duplicates the weight {h.weight!r} of hyperplane "
+                    f"{weights[h.weight]}", idx)
+            keys[k] = idx
+            weights[h.weight] = idx
         self.dimension = dimension
         self.hyperplanes = hyps
         self._cache: dict = {}
@@ -140,9 +147,6 @@ class Arrangement:
 
     def weight_names(self) -> tuple[str, ...]:
         return tuple(h.weight for h in self.hyperplanes)
-
-    def is_central(self) -> bool:
-        return all(h.offset == 0 for h in self.hyperplanes)
 
 
 @dataclass(frozen=True)
@@ -207,14 +211,16 @@ def enumerate_chambers(A: Arrangement,
     by hyperplane k+1.  A region's witness decides one side for free; the
     other side costs one exact feasibility test.
     """
-    cached = A._cache.get("chambers")
-    if cached is not None:
-        return cached
     limit_h = DEFAULT_MAX_HYPERPLANES if max_hyperplanes is None else max_hyperplanes
     limit_c = DEFAULT_MAX_CHAMBERS if max_chambers is None else max_chambers
     m = len(A.hyperplanes)
     if m > limit_h:
         raise GuardExceededError("hyperplane", m, limit_h)
+    cached = A._cache.get("chambers")
+    if cached is not None:
+        if len(cached) > limit_c:
+            raise GuardExceededError("chamber", len(cached), limit_c)
+        return cached
     dim = A.dimension
     origin = tuple(Fraction(0) for _ in range(dim))
     # region: (signs, witness, strict rows so far)
@@ -281,10 +287,6 @@ def canonical_edge(A: Arrangement, subset: Iterable[int]) -> Edge:
     for i in idxs:
         if not (0 <= i < len(A.hyperplanes)):
             raise GeometryError(f"hyperplane index {i} out of range")
-    cache = A._cache.setdefault("edges", {})
-    hit = cache.get(idxs)
-    if hit is not None:
-        return hit
     n = A.dimension
     basis: list[tuple[int, list[Fraction]]] = []
     for i in sorted(idxs):
@@ -311,10 +313,7 @@ def canonical_edge(A: Arrangement, subset: Iterable[int]) -> Edge:
             containing.add(i)
     containing = frozenset(containing)
     mono = Monomial.from_vars(A.hyperplanes[i].weight for i in sorted(containing))
-    edge = Edge(containing, n - len(basis), mono, 0)
-    cache[idxs] = edge
-    cache.setdefault(containing, edge)
-    return edge
+    return Edge(containing, n - len(basis), mono, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +332,6 @@ def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> Face:
     (possible only for non-central arrangements).
     """
     ci = chamber_index(A, chamber)
-    faces = A._cache.setdefault("faces", {})
-    hit = faces.get((ci, h))
-    if hit is not None:
-        if isinstance(hit, EmptyFaceError):
-            raise hit
-        return hit
     if not (0 <= h < len(A.hyperplanes)):
         raise GeometryError(f"hyperplane index {h} out of range")
     C = enumerate_chambers(A)[ci]
@@ -352,15 +345,11 @@ def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> Face:
     all_strict = [eq] + [(_side_row(A.hyperplanes[i], C.signs[i]), ">") for i in others]
     w = feasible_strict(all_strict, dim)
     if w is not None:
-        face = Face(ci, h, frozenset([h]), w)
-        faces[(ci, h)] = face
-        return face
+        return Face(ci, h, frozenset([h]), w)
 
     base = feasible_strict([eq] + weak, dim)
     if base is None:
-        err = EmptyFaceError(f"chamber {ci} closure does not meet hyperplane {h}")
-        faces[(ci, h)] = err
-        raise err
+        raise EmptyFaceError(f"chamber {ci} closure does not meet hyperplane {h}")
 
     pool = [base]
     total = list(base)
@@ -379,10 +368,7 @@ def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> Face:
             pool.append(wi)
             total = [t + v for t, v in zip(total, wi)]
     k = len(pool)
-    witness = tuple(t / k for t in total)
-    face = Face(ci, h, frozenset(zeros), witness)
-    faces[(ci, h)] = face
-    return face
+    return Face(ci, h, frozenset(zeros), tuple(t / k for t in total))
 
 
 def _face_edge_table(A: Arrangement) -> dict:
@@ -462,8 +448,8 @@ def factored_determinant_general(A: Arrangement) -> FactoredProduct:
 
 __all__ = [
     "Arrangement", "Chamber", "Edge", "Face", "Hyperplane",
-    "EmptyFaceError", "EmptyIntersectionError", "GeometryError",
-    "GuardExceededError", "InternalConsistencyError",
+    "DuplicateHyperplaneError", "EmptyFaceError", "EmptyIntersectionError",
+    "GeometryError", "GuardExceededError", "InternalConsistencyError",
     "DEFAULT_MAX_CHAMBERS", "DEFAULT_MAX_HYPERPLANES",
     "canonical_edge", "chamber_index", "enumerate_chambers", "face_of",
     "factored_determinant_general", "feasible_strict", "multiplicity",

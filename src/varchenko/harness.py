@@ -24,7 +24,8 @@ from typing import Optional
 
 from .exactalg import (FactoredProduct, Monomial, PrimeField, _mono_sort_key,
                        factored_eval)
-from .geometry import Arrangement, Hyperplane, enumerate_chambers
+from .geometry import (Arrangement, DuplicateHyperplaneError, Hyperplane,
+                       enumerate_chambers)
 from .matrix import degree_bound, det_bruteforce, varchenko_matrix_eval
 
 DEFAULT_TRIALS = 5
@@ -295,8 +296,7 @@ def parse_arrangement_file(text: str) -> Arrangement:
     """
     dim: Optional[int] = None
     hyperplanes: list[Hyperplane] = []
-    seen_keys: dict[tuple, int] = {}
-    seen_weights: dict[str, int] = {}
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         content = raw.split("#", 1)[0].strip()
         if not content:
@@ -321,24 +321,18 @@ def parse_arrangement_file(text: str) -> Arrangement:
                 h = Hyperplane.make(coeffs, offset, parts[dim + 2])
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from None
-            key = h.primitive_key()
-            if key in seen_keys:
-                raise ParseError(
-                    lineno, f"hyperplane duplicates line {seen_keys[key]}")
-            if h.weight in seen_weights:
-                raise ParseError(
-                    lineno, f"weight {h.weight!r} already used on line "
-                            f"{seen_weights[h.weight]}")
-            seen_keys[key] = lineno
-            seen_weights[h.weight] = lineno
             hyperplanes.append(h)
+            linenos.append(lineno)
         else:
             raise ParseError(lineno, f"unknown directive {parts[0]!r}")
     if dim is None:
         raise ParseError(0, "missing dim directive")
     if not hyperplanes:
         raise ParseError(0, "no hyperplanes given")
-    return Arrangement(dim, hyperplanes)
+    try:
+        return Arrangement(dim, hyperplanes)
+    except DuplicateHyperplaneError as exc:
+        raise ParseError(linenos[exc.index], str(exc)) from None
 
 
 __all__ = [

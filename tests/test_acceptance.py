@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from varchenko.closedform import formula_A, formula_B, formula_D, formula_I2, zagier
+from varchenko.closedform import formula, formula_A, formula_D, formula_I2, zagier
 from varchenko.exactalg import Monomial, factored_specialize_all
 from varchenko.families import (FamilyKind, build_family,
                                 chambers_combinatorial, signed_subsets)
@@ -49,10 +49,8 @@ def geometric_vs_bruteforce(sel: str, trials=TRIALS):
 
 def formula_vs_bruteforce(sel: str, trials=TRIALS, prime=PRIME, seed=SEED):
     k = FamilyKind.parse(sel)
-    formula = {"A": formula_A, "B": formula_B, "D": formula_D,
-               "I2": formula_I2}[k.letter](k.param)
     return verify_identity(
-        factored_source("formula", formula), bruteforce_source(build_family(k)),
+        factored_source("formula", formula(k)), bruteforce_source(build_family(k)),
         trials=trials, prime=prime, seed=seed, subject=sel)
 
 

@@ -158,12 +158,21 @@ def test_usage_errors_exit_two(capsys, tmp_path):
 
 
 def test_chamber_guard_flag(capsys, tmp_path):
-    # guards apply when a result is computed; file input always parses a
-    # fresh arrangement, so its caches are cold
+    # file input parses a fresh arrangement, so the guard trips while the
+    # chambers are being enumerated
     arr = tmp_path / "arr.txt"
     arr.write_text(BRAID3)
     code, _, err = run(capsys, "chambers", "--file", str(arr),
                        "--max-chambers", "4")
+    assert code == 2
+    assert "guard" in err
+
+
+def test_chamber_guard_applies_to_cached_chambers(capsys):
+    # build_family shares one Arrangement per kind, so the second call finds
+    # the chambers cached by the first and must still honor its guard
+    assert run(capsys, "chambers", "--kind", "A:4")[0] == 0
+    code, _, err = run(capsys, "chambers", "--kind", "A:4", "--max-chambers", "4")
     assert code == 2
     assert "guard" in err
 

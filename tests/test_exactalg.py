@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from varchenko.exactalg import (DEFAULT_PRIME, BadVariableNameError,
                                 FactoredProduct, MissingVariableError,
                                 Monomial, NotPrimeError, PrimeField,
-                                factored_canonicalize, factored_eval,
-                                factored_specialize_all, is_prime, mono_mul,
-                                pair_var, single_var, validate_var)
+                                factored_eval, factored_specialize_all,
+                                is_prime, pair_var, single_var, validate_var)
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -53,32 +52,6 @@ def test_user_identifiers_allowed():
 
 
 # ---------------------------------------------------------------------------
-# monomials
-# ---------------------------------------------------------------------------
-
-
-def test_mono_mul_disjoint_supports():
-    assert mono_mul(mono("q_{1,2}"), mono("q_{1,3}")) == mono("q_{1,2}", "q_{1,3}")
-
-
-def test_mono_mul_identity():
-    assert mono_mul(Monomial.one(), mono("q_{1}")) == mono("q_{1}")
-
-
-def test_mono_mul_exponent_addition():
-    sq = mono_mul(mono("q_{1,2}"), mono("q_{1,2}"))
-    assert sq == Monomial.from_dict({"q_{1,2}": 2})
-    assert sq.degree == 2
-
-
-@given(monomials, monomials)
-def test_mono_mul_commutative_and_degree(a, b):
-    ab = mono_mul(a, b)
-    assert ab == mono_mul(b, a)
-    assert ab.degree == a.degree + b.degree
-
-
-# ---------------------------------------------------------------------------
 # prime field
 # ---------------------------------------------------------------------------
 
@@ -89,11 +62,6 @@ def test_primality_check():
     for bad in (4, 1, 0, -7, 1 << 63):
         with pytest.raises(NotPrimeError):
             PrimeField(bad)
-
-
-@given(st.integers(1, DEFAULT_PRIME - 1))
-def test_field_inverse(a):
-    assert F.mul(a, F.inv(a)) == 1
 
 
 @given(st.fractions(), st.fractions(), st.fractions())
@@ -133,8 +101,8 @@ def test_canonicalize_drops_zero_exponents():
 
 @given(factored_products)
 def test_canonicalize_idempotent(f):
-    once = factored_canonicalize(f)
-    assert factored_canonicalize(once) == once
+    once = f.canonical()
+    assert once.canonical() == once
 
 
 @given(factored_products, st.integers(0, 10**6))

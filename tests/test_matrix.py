@@ -7,11 +7,40 @@ from varchenko.exactalg import (DEFAULT_PRIME, MissingVariableError,
                                 PrimeField, factored_eval)
 from varchenko.families import FamilyKind, build_family
 from varchenko.geometry import enumerate_chambers
-from varchenko.matrix import (MatrixError, _det_packed, _det_simple,
-                              degree_bound, det_bruteforce, det_mod,
-                              separating_set, varchenko_matrix_eval)
+from varchenko.matrix import (MatrixError, degree_bound, det_bruteforce,
+                              det_mod, varchenko_matrix_eval)
 
 F = PrimeField(DEFAULT_PRIME)
+
+
+def separating_set(c1, c2):
+    """Hyperplane indices on which two chambers' sign vectors differ."""
+    assert len(c1.signs) == len(c2.signs)
+    return frozenset(i for i, (a, b) in enumerate(zip(c1.signs, c2.signs)) if a != b)
+
+
+def _det_simple(rows, p):
+    """Textbook row-by-row elimination mod p: the reference for det_mod."""
+    n = len(rows)
+    det = 1
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c] % p), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        pv = rows[c][c] % p
+        det = det * pv % p
+        inv = pow(pv, p - 2, p)
+        prow = rows[c]
+        for r in range(c + 1, n):
+            f = rows[r][c] % p
+            if f:
+                f = f * inv % p
+                row = rows[r]
+                rows[r] = row[:c] + [(x - f * y) % p for x, y in zip(row[c:], prow[c:])]
+    return det % p
 
 
 def kind(s):
@@ -36,25 +65,29 @@ def braid3_chamber(A, order):
 def test_adjacent_transposition_crosses_one_wall():
     A = kind("A:3")
     c1, c2 = braid3_chamber(A, (1, 2, 3)), braid3_chamber(A, (2, 1, 3))
-    assert separating_set(c1, c2).indices == frozenset({0})
+    assert separating_set(c1, c2) == frozenset({0})
 
 
 def test_self_separation_empty():
     A = kind("A:3")
     c = braid3_chamber(A, (1, 2, 3))
-    assert separating_set(c, c).indices == frozenset()
+    assert separating_set(c, c) == frozenset()
 
 
 def test_full_reversal_crosses_every_wall():
     A = kind("A:3")
     c1, c2 = braid3_chamber(A, (1, 2, 3)), braid3_chamber(A, (3, 2, 1))
-    assert separating_set(c1, c2).indices == frozenset({0, 1, 2})
+    assert separating_set(c1, c2) == frozenset({0, 1, 2})
 
 
 def test_separating_set_length_mismatch():
+    # a chamber of B:2 has 4 signs, so its separating set against an A:3
+    # chamber (3 signs) is undefined and the matrix build must refuse it
     A, B = kind("A:3"), kind("B:2")
+    assignment = {w: 2 for w in A.weight_names()}
     with pytest.raises(MatrixError):
-        separating_set(enumerate_chambers(A)[0], enumerate_chambers(B)[0])
+        varchenko_matrix_eval(A, [enumerate_chambers(A)[0], enumerate_chambers(B)[0]],
+                              assignment, F)
 
 
 @given(st.data())
@@ -62,11 +95,11 @@ def test_separating_set_length_mismatch():
 def test_separating_set_symmetric_difference_identity(data):
     ch = enumerate_chambers(kind("B:3"))
     i, j, k = (data.draw(st.integers(0, len(ch) - 1)) for _ in range(3))
-    s12 = separating_set(ch[i], ch[j]).indices
-    s23 = separating_set(ch[j], ch[k]).indices
-    s13 = separating_set(ch[i], ch[k]).indices
+    s12 = separating_set(ch[i], ch[j])
+    s23 = separating_set(ch[j], ch[k])
+    s13 = separating_set(ch[i], ch[k])
     assert s13 == s12 ^ s23
-    assert s12 == separating_set(ch[j], ch[i]).indices
+    assert s12 == separating_set(ch[j], ch[i])
 
 
 def test_antipodal_invariance_of_entries():
@@ -173,13 +206,11 @@ def test_det_not_square():
 @settings(max_examples=60)
 def test_packed_det_agrees_with_simple(n, p, data):
     rows = [[data.draw(st.integers(0, p - 1)) for _ in range(n)] for _ in range(n)]
-    simple = _det_simple([row[:] for row in rows], p)
-    packed = _det_packed([row[:] for row in rows], p)
-    assert simple == packed
+    assert det_mod(rows, p) == _det_simple([row[:] for row in rows], p)
 
 
 def test_packed_det_on_structured_matrix():
-    # permanent-free check on a matrix big enough to exercise the packed path
+    # a structured matrix wider than the random ones above
     n = 60
     p = DEFAULT_PRIME
     rows = [[(i * n + j + 1) ** 2 % p for j in range(n)] for i in range(n)]
