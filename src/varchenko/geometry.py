@@ -51,11 +51,13 @@ class GuardExceededError(GeometryError):
 
 
 class DuplicateHyperplaneError(GeometryError):
-    """Hyperplane `index` repeats an earlier one's affine set or weight."""
+    """Hyperplane `index` repeats the affine set or the weight of hyperplane `other`."""
 
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
+    def __init__(self, index: int, other: int, what: str):
+        super().__init__(f"hyperplane {index} duplicates the {what} of hyperplane {other}")
         self.index = index
+        self.other = other
+        self.what = what
 
 
 class EmptyFaceError(GeometryError):
@@ -129,13 +131,10 @@ class Arrangement:
                     f"hyperplane {idx} has {len(h.normal)} coefficients, expected {dimension}")
             k = h.primitive_key()
             if k in keys:
-                raise DuplicateHyperplaneError(
-                    f"hyperplane {idx} duplicates hyperplane {keys[k]} "
-                    f"(same affine set)", idx)
+                raise DuplicateHyperplaneError(idx, keys[k], "affine set")
             if h.weight in weights:
                 raise DuplicateHyperplaneError(
-                    f"hyperplane {idx} duplicates the weight {h.weight!r} of hyperplane "
-                    f"{weights[h.weight]}", idx)
+                    idx, weights[h.weight], f"weight {h.weight!r}")
             keys[k] = idx
             weights[h.weight] = idx
         self.dimension = dimension
@@ -211,16 +210,20 @@ def enumerate_chambers(A: Arrangement,
     by hyperplane k+1.  A region's witness decides one side for free; the
     other side costs one exact feasibility test.
     """
-    limit_h = DEFAULT_MAX_HYPERPLANES if max_hyperplanes is None else max_hyperplanes
-    limit_c = DEFAULT_MAX_CHAMBERS if max_chambers is None else max_chambers
     m = len(A.hyperplanes)
-    if m > limit_h:
-        raise GuardExceededError("hyperplane", m, limit_h)
     cached = A._cache.get("chambers")
     if cached is not None:
-        if len(cached) > limit_c:
-            raise GuardExceededError("chamber", len(cached), limit_c)
+        # The default limits guard the enumeration below; a cached result
+        # answers only to the limits its caller passes.
+        if max_hyperplanes is not None and m > max_hyperplanes:
+            raise GuardExceededError("hyperplane", m, max_hyperplanes)
+        if max_chambers is not None and len(cached) > max_chambers:
+            raise GuardExceededError("chamber", len(cached), max_chambers)
         return cached
+    limit_h = DEFAULT_MAX_HYPERPLANES if max_hyperplanes is None else max_hyperplanes
+    limit_c = DEFAULT_MAX_CHAMBERS if max_chambers is None else max_chambers
+    if m > limit_h:
+        raise GuardExceededError("hyperplane", m, limit_h)
     dim = A.dimension
     origin = tuple(Fraction(0) for _ in range(dim))
     # region: (signs, witness, strict rows so far)

@@ -332,7 +332,9 @@ def parse_arrangement_file(text: str) -> Arrangement:
     try:
         return Arrangement(dim, hyperplanes)
     except DuplicateHyperplaneError as exc:
-        raise ParseError(linenos[exc.index], str(exc)) from None
+        raise ParseError(linenos[exc.index],
+                         f"hyperplane duplicates the {exc.what} of line "
+                         f"{linenos[exc.other]}") from None
 
 
 __all__ = [

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from varchenko import geometry
 from varchenko.cli import main
 from varchenko.closedform import formula_A, formula_D, zagier
 from varchenko.exactalg import factored_specialize_all
@@ -175,6 +176,26 @@ def test_chamber_guard_applies_to_cached_chambers(capsys):
     code, _, err = run(capsys, "chambers", "--kind", "A:4", "--max-chambers", "4")
     assert code == 2
     assert "guard" in err
+
+
+def test_hyperplane_guard_flag_raises_the_default(capsys, tmp_path):
+    # 33 points on a line exceed the default guard of 32 hyperplanes
+    arr = tmp_path / "points.txt"
+    arr.write_text("dim 1\n" + "".join(f"hyperplane 1 {i} p{i}\n" for i in range(33)))
+    assert run(capsys, "chambers", "--file", str(arr))[0] == 2
+    code, out, _ = run(capsys, "chambers", "--file", str(arr),
+                       "--max-hyperplanes", "40", "--emit", "json")
+    assert code == 0
+    assert json.loads(out)["count"] == 34
+
+
+def test_chamber_guard_flag_raises_the_default(capsys, monkeypatch):
+    # a default of 4 chambers stands in for a family too large to enumerate
+    # in a test; the explicit flag must lift it for the whole command
+    monkeypatch.setattr(geometry, "DEFAULT_MAX_CHAMBERS", 4)
+    for argv in (("chambers",), ("det", "--mode", "bruteforce")):
+        code, _, err = run(capsys, *argv, "--kind", "A:3", "--max-chambers", "100")
+        assert code == 0, err
 
 
 def test_module_entry_point():

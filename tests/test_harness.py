@@ -182,7 +182,7 @@ def test_parse_duplicate_hyperplane():
     text = "dim 2\n# comment\nhyperplane 1 -1 0 a\nhyperplane -2 2 0 b\n"
     with pytest.raises(ParseError) as exc:
         parse_arrangement_file(text)
-    assert "duplicates" in str(exc.value)
+    assert "duplicates the affine set of line 3" in str(exc.value)
     assert exc.value.line == 4
 
 
@@ -190,7 +190,7 @@ def test_parse_duplicate_weight():
     text = "dim 2\nhyperplane 1 0 0 a\n\nhyperplane 0 1 0 a\n"
     with pytest.raises(ParseError) as exc:
         parse_arrangement_file(text)
-    assert "duplicates" in str(exc.value)
+    assert "duplicates the weight 'a' of line 2" in str(exc.value)
     assert exc.value.line == 4
 
 
