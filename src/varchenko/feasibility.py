@@ -51,7 +51,8 @@ def _to_int_row(form: Sequence, rel: str, dim: int):
             den = lcm(den, v.denominator)
         elif not isinstance(v, int):
             raise ValueError(f"exact coefficient expected, got {type(v).__name__}")
-    ints = [int(v * den) if isinstance(v, Fraction) else v * den for v in form]
+    ints = [v.numerator * (den // v.denominator) if isinstance(v, Fraction) else v * den
+            for v in form]
     g = 0
     for v in ints:
         g = gcd(g, v)

@@ -7,7 +7,12 @@ pipeline:
   enumerate_chambers   incremental insertion, one exact feasibility test per
                        candidate sign extension
   face_of              the closed chamber intersected with one hyperplane,
-                       with the set of hyperplanes vanishing on it
+                       with the set of hyperplanes vanishing on it; facets
+                       come from chamber adjacency, further zeros from the
+                       elimination basis of those already found, and one
+                       feasibility test decides each remaining hyperplane
+                       (central arrangements use the origin as base point,
+                       and the face table copies each face of -C from C)
   canonical_edge       intersection of a hyperplane subset, closed under
                        implied hyperplanes, by rational Gaussian elimination
   relevant_edges       edges generated by faces, each with its multiplicity
@@ -277,6 +282,28 @@ def _reduce_row(row: list[Fraction], basis: list[tuple[int, list[Fraction]]]):
     return row
 
 
+def _extend_basis(basis: list[tuple[int, list[Fraction]]], row: list[Fraction],
+                  n: int) -> bool:
+    """Add `row`, already reduced against `basis`, as a new pivot row.
+
+    The basis is kept in reduced row echelon form over the first n columns
+    (the normal); column n is the constant.  Returns False, leaving the basis
+    unchanged, when the row has no pivot among the first n columns.
+    """
+    col = next((j for j in range(n) if row[j]), None)
+    if col is None:
+        return False
+    inv = 1 / row[col]
+    row = [v * inv for v in row]
+    for _, brow in basis:
+        f = brow[col]
+        if f:
+            for j in range(n + 1):
+                brow[j] -= f * row[j]
+    basis.append((col, row))
+    return True
+
+
 def canonical_edge(A: Arrangement, subset: Iterable[int]) -> Edge:
     """Intersection of the given hyperplanes, closed under implication.
 
@@ -294,27 +321,10 @@ def canonical_edge(A: Arrangement, subset: Iterable[int]) -> Edge:
     basis: list[tuple[int, list[Fraction]]] = []
     for i in sorted(idxs):
         row = _reduce_row(list(_eq_row(A.hyperplanes[i])), basis)
-        col = next((j for j in range(n) if row[j]), None)
-        if col is None:
-            if row[n]:
-                raise EmptyIntersectionError(f"hyperplanes {sorted(idxs)} do not meet")
-            continue
-        inv = 1 / row[col]
-        row = [v * inv for v in row]
-        for _, brow in basis:
-            f = brow[col]
-            if f:
-                for j in range(n + 1):
-                    brow[j] -= f * row[j]
-        basis.append((col, row))
-    containing = set(idxs)
-    for i, h in enumerate(A.hyperplanes):
-        if i in containing:
-            continue
-        row = _reduce_row(list(_eq_row(h)), basis)
-        if not any(row):
-            containing.add(i)
-    containing = frozenset(containing)
+        if not _extend_basis(basis, row, n) and row[n]:
+            raise EmptyIntersectionError(f"hyperplanes {sorted(idxs)} do not meet")
+    containing = frozenset(i for i, h in enumerate(A.hyperplanes)
+                           if i in idxs or not any(_reduce_row(list(_eq_row(h)), basis)))
     mono = Monomial.from_vars(A.hyperplanes[i].weight for i in sorted(containing))
     return Edge(containing, n - len(basis), mono, 0)
 
@@ -322,6 +332,10 @@ def canonical_edge(A: Arrangement, subset: Iterable[int]) -> Edge:
 # ---------------------------------------------------------------------------
 # faces
 # ---------------------------------------------------------------------------
+
+
+def _is_central(A: Arrangement) -> bool:
+    return all(hp.offset == 0 for hp in A.hyperplanes)
 
 
 def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> Face:
@@ -333,57 +347,87 @@ def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> Face:
     witnesses of the feasible tests, which by convexity is strict off zeros
     and exact.  Raises EmptyFaceError when the closed chamber misses H_h
     (possible only for non-central arrangements).
+
+    Exact shortcuts spare most feasibility tests:
+      * the face is a facet (zeros {h}) iff the chamber with sign h flipped
+        exists; the segment between the two witnesses is strict on every
+        other hyperplane, so where it crosses H_h is a relative-interior point;
+      * on a central arrangement the origin lies in every closed face, so it
+        serves as the base point and the face is never empty;
+      * a hyperplane containing the flat cut out by the zeros found so far
+        contains the face, so it is a zero without a test;
+      * a hyperplane strict at the running witness average is not a zero.
     """
     ci = chamber_index(A, chamber)
-    if not (0 <= h < len(A.hyperplanes)):
+    hyps = A.hyperplanes
+    if not (0 <= h < len(hyps)):
         raise GeometryError(f"hyperplane index {h} out of range")
-    C = enumerate_chambers(A)[ci]
+    chambers = enumerate_chambers(A)
+    C = chambers[ci]
     dim = A.dimension
-    eq = (_eq_row(A.hyperplanes[h]), "=")
-    weak = [(_side_row(hp, C.signs[i]), ">=")
-            for i, hp in enumerate(A.hyperplanes) if i != h]
-    others = [i for i in range(len(A.hyperplanes)) if i != h]
+    hp_h = hyps[h]
 
-    # fast path: the face is a facet iff every other hyperplane can be strict
-    all_strict = [eq] + [(_side_row(A.hyperplanes[i], C.signs[i]), ">") for i in others]
-    w = feasible_strict(all_strict, dim)
-    if w is not None:
-        return Face(ci, h, frozenset([h]), w)
+    flipped = C.signs[:h] + (-C.signs[h],) + C.signs[h + 1:]
+    cj = A._cache["chamber_index"].get(flipped)
+    if cj is not None:
+        p, q = C.witness, chambers[cj].witness
+        vp, vq = hp_h.value_at(p), hp_h.value_at(q)
+        t = vp / (vp - vq)
+        return Face(ci, h, frozenset([h]), tuple(a + t * (b - a) for a, b in zip(p, q)))
 
-    base = feasible_strict([eq] + weak, dim)
-    if base is None:
-        raise EmptyFaceError(f"chamber {ci} closure does not meet hyperplane {h}")
+    eq = (_eq_row(hp_h), "=")
+    weak = [(_side_row(hp, C.signs[i]), ">=") for i, hp in enumerate(hyps) if i != h]
+    if _is_central(A):
+        base = tuple(Fraction(0) for _ in range(dim))
+    else:
+        base = feasible_strict([eq] + weak, dim)
+        if base is None:
+            raise EmptyFaceError(f"chamber {ci} closure does not meet hyperplane {h}")
 
-    pool = [base]
+    basis: list[tuple[int, list[Fraction]]] = []
+    _extend_basis(basis, list(_eq_row(hp_h)), dim)
+    k = 1
     total = list(base)
     zeros = {h}
-    for i in others:
-        hp = A.hyperplanes[i]
-        k = len(pool)
-        avg_val = C.signs[i] * (hp.value_at([t / k for t in total]))
-        if avg_val > 0:
+    for i, hp in enumerate(hyps):
+        if i == h:
             continue
-        sys_i = [eq] + weak + [(_side_row(hp, C.signs[i]), ">")]
-        wi = feasible_strict(sys_i, dim)
+        if C.signs[i] * hp.value_at([t / k for t in total]) > 0:
+            continue
+        row = _reduce_row(list(_eq_row(hp)), basis)
+        if not any(row):
+            zeros.add(i)
+            continue
+        wi = feasible_strict([eq] + weak + [(_side_row(hp, C.signs[i]), ">")], dim)
         if wi is None:
             zeros.add(i)
+            _extend_basis(basis, row, dim)
         else:
-            pool.append(wi)
+            k += 1
             total = [t + v for t, v in zip(total, wi)]
-    k = len(pool)
     return Face(ci, h, frozenset(zeros), tuple(t / k for t in total))
 
 
 def _face_edge_table(A: Arrangement) -> dict:
     """(chamber index, hyperplane) -> zeros frozenset of the face, or None if
-    the face is empty.  Computed once per arrangement."""
+    the face is empty.  Computed once per arrangement.
+
+    On a central arrangement x -> -x maps chambers to chambers and faces to
+    faces, so the face of -C at h has the zeros of the face of C at h.
+    """
     table = A._cache.get("face_table")
     if table is not None:
         return table
     chambers = enumerate_chambers(A)
+    index = A._cache["chamber_index"]
+    central = _is_central(A)
     table = {}
-    for ci in range(len(chambers)):
+    for ci, C in enumerate(chambers):
+        anti = index[tuple(-s for s in C.signs)] if central else ci
         for h in range(len(A.hyperplanes)):
+            if anti < ci:
+                table[(ci, h)] = table[(anti, h)]
+                continue
             try:
                 table[(ci, h)] = face_of(A, ci, h).zeros
             except EmptyFaceError:
@@ -400,19 +444,29 @@ def _face_edge_table(A: Arrangement) -> dict:
 def multiplicity(A: Arrangement, E: Edge, pivot: Optional[int] = None) -> int:
     """Half the number of chambers whose face at `pivot` spans exactly E.
 
-    The count is always even (chambers pair up across E); an odd count means
-    the engine itself is broken and raises InternalConsistencyError.
+    Such chambers pair up: the chamber with its signs flipped on E's
+    hyperplanes (the reflection through a relative-interior point of the
+    face) exists and has the same face zeros at `pivot`.  A chamber without
+    that partner means the engine itself is broken and raises
+    InternalConsistencyError; the pairing also makes the count even.
     """
     if pivot is None:
         pivot = min(E.containing)
     if pivot not in E.containing:
         raise GeometryError(f"pivot {pivot} does not contain the edge")
     table = _face_edge_table(A)
-    n_chambers = len(enumerate_chambers(A))
-    count = sum(1 for ci in range(n_chambers) if table[(ci, pivot)] == E.containing)
-    if count % 2:
-        raise InternalConsistencyError(
-            f"odd chamber count {count} for edge {sorted(E.containing)} at pivot {pivot}")
+    index = A._cache["chamber_index"]
+    zeros = E.containing
+    count = 0
+    for ci, C in enumerate(enumerate_chambers(A)):
+        if table[(ci, pivot)] != zeros:
+            continue
+        count += 1
+        partner = index.get(tuple(-s if i in zeros else s for i, s in enumerate(C.signs)))
+        if partner is None or table[(partner, pivot)] != zeros:
+            raise InternalConsistencyError(
+                f"chamber {ci} has face {sorted(zeros)} at pivot {pivot} but its "
+                f"reflection across that face does not")
     return count // 2
 
 

@@ -305,7 +305,7 @@ def parse_arrangement_file(text: str) -> Arrangement:
         if parts[0] == "dim":
             if dim is not None:
                 raise ParseError(lineno, "duplicate dim directive")
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+            if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
                 raise ParseError(lineno, "expected 'dim N' with positive N")
             dim = int(parts[1])
         elif parts[0] == "hyperplane":

@@ -2,12 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varchenko import geometry
 from varchenko.closedform import formula_I2
 from varchenko.exactalg import Monomial
 from varchenko.families import FamilyKind, build_family
+from varchenko.feasibility import feasible_strict
 from varchenko.geometry import (Arrangement, EmptyFaceError,
                                 EmptyIntersectionError, GeometryError,
-                                GuardExceededError, Hyperplane, canonical_edge,
+                                GuardExceededError, Hyperplane,
+                                InternalConsistencyError, canonical_edge,
                                 enumerate_chambers, face_of,
                                 factored_determinant_general, multiplicity,
                                 relevant_edges)
@@ -202,6 +205,110 @@ def test_face_witness_exactly_realizes_zeros():
                         assert c.signs[i] * v > 0
                 e = canonical_edge(A, f.zeros)
                 assert e.containing == f.zeros
+
+
+def _face_of_lp(A, chamber, h):
+    """The face scan by feasibility tests alone: the reference that
+    geometry.face_of and its shortcuts are checked against.
+
+    Returns the zeros of closure(chamber) meet H_h, or None when the closed
+    chamber misses H_h.  i is a zero iff {H_h = 0, the chamber's inequalities
+    weakened, sign_i H_i > 0} is infeasible.
+    """
+    def side(i, rel):
+        hp = A.hyperplanes[i]
+        s = chamber.signs[i]
+        return tuple(s * a for a in hp.normal) + (-s * hp.offset,), rel
+
+    hp = A.hyperplanes[h]
+    eq = (hp.normal + (-hp.offset,), "=")
+    weak = [side(i, ">=") for i in range(len(A.hyperplanes)) if i != h]
+    if feasible_strict([eq] + weak, A.dimension) is None:
+        return None
+    return frozenset([h] + [i for i in range(len(A.hyperplanes))
+                            if i != h and feasible_strict(
+                                [eq] + weak + [side(i, ">")], A.dimension) is None])
+
+
+def _check_face_scan_against_reference(A):
+    table = geometry._face_edge_table(A)
+    for ci, c in enumerate(enumerate_chambers(A)):
+        for h in range(len(A.hyperplanes)):
+            zeros = _face_of_lp(A, c, h)
+            assert table[(ci, h)] == zeros
+            if zeros is None:
+                with pytest.raises(EmptyFaceError):
+                    face_of(A, ci, h)
+                continue
+            f = face_of(A, ci, h)
+            assert f.zeros == zeros
+            for i, hp in enumerate(A.hyperplanes):
+                v = hp.value_at(f.relint_witness)
+                assert v == 0 if i in zeros else c.signs[i] * v > 0
+
+
+@pytest.mark.parametrize("sel", ["A:3", "B:2", "D:3", "I2:4"])
+def test_face_scan_matches_lp_reference_on_families(sel):
+    _check_face_scan_against_reference(kind(sel))
+
+
+@st.composite
+def small_arrangements(draw):
+    """Integer arrangements in dimension 1-3: central, affine, or affine
+    with a parallel partner drawn for some hyperplanes."""
+    dim = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["central", "affine", "parallel"]))
+    coef = st.integers(-2, 2)
+    normals = draw(st.lists(st.tuples(*[coef] * dim).filter(any), min_size=1, max_size=4))
+    hyps, keys = [], set()
+    for normal in normals:
+        offsets = [0] if shape == "central" else [draw(coef)]
+        if shape == "parallel" and draw(st.booleans()):
+            offsets.append(draw(coef))
+        for offset in offsets:
+            h = Hyperplane.make(list(normal), offset, f"w{len(hyps)}")
+            if h.primitive_key() not in keys:
+                keys.add(h.primitive_key())
+                hyps.append(h)
+    return Arrangement(dim, hyps)
+
+
+@given(small_arrangements())
+@settings(max_examples=100, deadline=None)
+def test_face_scan_matches_lp_reference_on_random_arrangements(A):
+    _check_face_scan_against_reference(A)
+
+
+@pytest.mark.parametrize("sel,limit", [("D:4", 2016), ("A:5", 900)])
+def test_face_scan_feasibility_call_budget(sel, limit, monkeypatch):
+    # the all-LP scan made 12,096 (D:4) and 4,920 (A:5) calls
+    A = kind(sel)
+    enumerate_chambers(A)
+    calls = []
+
+    def counting(system, dim):
+        calls.append(len(system))
+        return feasible_strict(system, dim)
+
+    monkeypatch.setattr(geometry, "feasible_strict", counting)
+    geometry._face_edge_table(A)
+    assert len(calls) <= limit
+
+
+def test_face_pairing_check_catches_even_count_corruption():
+    # Move two facets at pivot 0 that are not reflections of each other to
+    # the closed edge {0, 1, 2}: every per-edge count stays even, but each
+    # moved chamber's reflection keeps the old face.
+    A = braid3()
+    chambers = enumerate_chambers(A)
+    table = geometry._face_edge_table(A)
+    facets = [ci for ci in range(len(chambers)) if table[(ci, 0)] == frozenset({0})]
+    a = facets[0]
+    mirror = (-chambers[a].signs[0],) + chambers[a].signs[1:]
+    b = next(ci for ci in facets[1:] if chambers[ci].signs != mirror)
+    table[(a, 0)] = table[(b, 0)] = frozenset({0, 1, 2})
+    with pytest.raises(InternalConsistencyError):
+        relevant_edges(A)
 
 
 def test_empty_face_signal_for_affine_arrangement():

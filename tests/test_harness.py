@@ -194,6 +194,13 @@ def test_parse_duplicate_weight():
     assert exc.value.line == 4
 
 
+def test_parse_non_decimal_dim_carries_line():
+    # "²" passes str.isdigit() but int() rejects it
+    with pytest.raises(ParseError) as exc:
+        parse_arrangement_file("dim \u00b2\nhyperplane 1 0 0 w\n")
+    assert exc.value.line == 1
+
+
 def test_parse_bad_rational():
     with pytest.raises(ParseError):
         parse_arrangement_file("dim 2\nhyperplane 1.5 0 0 w\n")
