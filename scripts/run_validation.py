@@ -22,12 +22,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from varchenko.closedform import formula, formula_A, formula_B, zagier
+from varchenko.closedform import formula_A, zagier
 from varchenko.exactalg import DEFAULT_PRIME, factored_specialize_all
 from varchenko.families import FamilyKind, build_family, chambers_combinatorial
-from varchenko.geometry import enumerate_chambers, factored_determinant_general
-from varchenko.harness import (bruteforce_source, compare_factored,
-                               factored_source, verify_identity)
+from varchenko.geometry import enumerate_chambers
+from varchenko.harness import compare_factored, source, verify_identity
 
 MASTER_SUBJECTS = ["A:2", "A:3", "A:4", "A:5", "A:6", "B:2", "B:3",
                    "D:2", "D:3", "D:4",
@@ -44,11 +43,10 @@ def master_identity(trials, prime, seed):
     for sel in MASTER_SUBJECTS:
         kind = FamilyKind.parse(sel)
         A = build_family(kind)
-        geo, t_geo = timed(factored_determinant_general, A)
+        geo, t_geo = timed(source, "geometric", A)
         report, t_ver = timed(
-            verify_identity, factored_source("geometric", geo),
-            bruteforce_source(A), trials=trials, prime=prime, seed=seed,
-            subject=sel)
+            verify_identity, geo, source("bruteforce", A), trials=trials,
+            prime=prime, seed=seed, subject=sel)
         rows.append({
             "subject": sel,
             "chambers": len(enumerate_chambers(A)),
@@ -68,11 +66,11 @@ def formula_adjudication(selectors, trials, prime, seed):
     for sel in selectors:
         kind = FamilyKind.parse(sel)
         A = build_family(kind)
-        printed = formula(kind)
+        printed = source("formula", A, kind)
         report = verify_identity(
-            factored_source("formula", printed), bruteforce_source(A),
+            printed, source("bruteforce", A),
             trials=trials, prime=prime, seed=seed, subject=sel)
-        diff = compare_factored(printed, factored_determinant_general(A))
+        diff = compare_factored(printed.factored, source("geometric", A).factored)
         rows.append({
             "subject": sel,
             "verdict": report.verdict,
@@ -110,9 +108,10 @@ def zagier_section():
 
 def determinism_check(trials, prime, seed):
     def run():
-        A = build_family(FamilyKind("B", 3))
+        kind = FamilyKind("B", 3)
+        A = build_family(kind)
         return verify_identity(
-            factored_source("formula", formula_B(3)), bruteforce_source(A),
+            source("formula", A, kind), source("bruteforce", A),
             trials=trials, prime=prime, seed=seed, subject="B:3").to_json()
     first, second = run(), run()
     digest = hashlib.sha256(first.encode()).hexdigest()

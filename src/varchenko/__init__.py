@@ -19,10 +19,9 @@ from .geometry import (Arrangement, Chamber, Edge, Face, Hyperplane,
                        canonical_edge, enumerate_chambers, face_of,
                        factored_determinant_general, multiplicity,
                        relevant_edges)
-from .harness import (DetSource, FactoredDiff, VerificationReport,
+from .harness import (SOURCES, DetSource, FactoredDiff, VerificationReport,
                       bruteforce_source, compare_factored, factored_source,
-                      parse_arrangement_file, verify_identity)
-from .matrix import (EvaluatedMatrix, degree_bound, det_bruteforce, det_mod,
-                     varchenko_matrix_eval)
+                      parse_arrangement_file, source, verify_identity)
+from .matrix import degree_bound, det_mod, varchenko_matrix_eval
 
 __version__ = "0.1.0"

@@ -22,11 +22,11 @@ from .families import (FamilyError, FamilyKind, build_family,
                        relevant_edges_combinatorial)
 from .geometry import (Arrangement, GeometryError, enumerate_chambers,
                        factored_determinant_general, relevant_edges)
-from .harness import (DEFAULT_SEED, DEFAULT_TRIALS, DetSource, ParseError,
-                      _assignment_digest, bruteforce_source, draw_nonzero,
-                      factored_source, parse_arrangement_file, trial_stream,
+from .harness import (DEFAULT_SEED, DEFAULT_TRIALS, SOURCES, DetSource,
+                      ParseError, _assignment_digest, bruteforce_source,
+                      parse_arrangement_file, source, trial_assignment,
                       verify_identity)
-from .matrix import MatrixError, det_bruteforce, varchenko_matrix_eval
+from .matrix import MatrixError
 
 
 class CliError(ValueError):
@@ -159,19 +159,17 @@ def cmd_det(args) -> int:
             raise CliError("assignment file must be a JSON object")
         assignment = {}
         for name, value in raw.items():
-            if not isinstance(value, int):
+            # bool is a subclass of int, but true/false are not weights
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise CliError(f"assignment for {name!r} must be an integer")
             assignment[name] = value % field.p
     else:
-        rng = trial_stream(args.seed, 0)
-        assignment = {name: draw_nonzero(rng, field.p)
-                      for name in sorted(A.weight_names())}
-    M = varchenko_matrix_eval(A, enumerate_chambers(A), assignment, field)
+        assignment = trial_assignment(A.weight_names(), args.seed, 0, field.p)
     _emit_json({
         "subject": subject,
         "prime": str(field.p),
         "assignment": _assignment_digest(assignment),
-        "value": str(det_bruteforce(M)),
+        "value": str(bruteforce_source(A).value_at(assignment, field)),
     })
     return 0
 
@@ -194,14 +192,9 @@ def _source(role: str, name: str, args, A: Arrangement) -> DetSource:
     if name == "formula":
         if args.kind is None:
             raise CliError(f"--{role} formula needs --kind")
-        return factored_source("formula", formula(FamilyKind.parse(args.kind)))
-    if name == "geometric":
-        _prime_chambers(A, args)
-        return factored_source("geometric", factored_determinant_general(A))
-    if name == "bruteforce":
-        _prime_chambers(A, args)
-        return bruteforce_source(A)
-    raise CliError(f"unknown source {name!r}")
+        return source(name, A, FamilyKind.parse(args.kind))
+    _prime_chambers(A, args)
+    return source(name, A)
 
 
 def cmd_verify(args) -> int:
@@ -259,10 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="compare two determinant representations")
     _add_subject_args(p)
-    p.add_argument("--lhs", choices=("formula", "geometric", "bruteforce"),
-                   required=True)
-    p.add_argument("--rhs", choices=("formula", "geometric", "bruteforce"),
-                   required=True)
+    p.add_argument("--lhs", choices=SOURCES, required=True)
+    p.add_argument("--rhs", choices=SOURCES, required=True)
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

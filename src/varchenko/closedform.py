@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import factorial
 
 from .exactalg import (FactoredProduct, InternalConsistencyError, Monomial,
-                       single_var, validate_var)
+                       single_var)
 from .families import (FamilyKind, descriptor_weight_monomial,
                        multiplicity_combinatorial, relevant_edges_combinatorial)
 
@@ -64,7 +64,7 @@ def formula_I2(m: int) -> FactoredProduct:
     return formula(FamilyKind("I2", m))
 
 
-def zagier(n: int, varname: str = "q") -> FactoredProduct:
+def zagier(n: int) -> FactoredProduct:
     """prod_{i=2..n} (1 - q^{i^2-i})^{n!(n-i+1)/(i^2-i)} in one variable.
 
     Each factor is stored as (q^{(i^2-i)/2}, exponent) since a factored
@@ -73,7 +73,6 @@ def zagier(n: int, varname: str = "q") -> FactoredProduct:
     """
     if n < 2:
         raise ValueError("zagier needs n >= 2")
-    validate_var(varname)
     factors = []
     for i in range(2, n + 1):
         half_degree = i * (i - 1) // 2
@@ -82,7 +81,7 @@ def zagier(n: int, varname: str = "q") -> FactoredProduct:
         exponent, rem = divmod(num, den)
         if rem:
             raise InternalConsistencyError(f"non-integral exponent at i={i}, n={n}")
-        factors.append((Monomial(((varname, half_degree),)), exponent))
+        factors.append((Monomial((("q", half_degree),)), exponent))
     return FactoredProduct(tuple(factors)).canonical()
 
 

@@ -208,9 +208,6 @@ class Monomial:
     def variables(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.powers)
 
-    def is_one(self) -> bool:
-        return not self.powers
-
     def eval(self, assignment: Mapping[str, int], field: PrimeField) -> int:
         """Value of the monomial in the field; raises on uncovered variables."""
         acc = 1
@@ -269,15 +266,6 @@ class FactoredProduct:
             for name in mono.variables():
                 seen[name] = None
         return tuple(sorted(seen))
-
-    def __str__(self):
-        if not self.factors:
-            return "1"
-        parts = []
-        for mono, e in self.factors:
-            base = f"(1 - ({mono})^2)" if not mono.is_one() else "(1 - 1)"
-            parts.append(base if e == 1 else f"{base}^{e}")
-        return " * ".join(parts)
 
     def to_json_obj(self) -> dict:
         """JSON shape: {"factors": [{"monomial": [[name, exp], ...], "exponent": e}, ...]}."""

@@ -214,9 +214,6 @@ class SignedSubset:
     def __len__(self):
         return len(self.entries)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(abs(e) for e in self.entries)
-
 
 def signed_subsets(n: int, min_size: int = 1) -> Iterator[SignedSubset]:
     """All canonical signed subsets of {-n..-1, 1..n} with size >= min_size,

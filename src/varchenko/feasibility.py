@@ -39,25 +39,32 @@ Relation = tuple[Sequence, str]
 _RELS = (">", ">=", "=")
 
 
+def _primitive_ints(values: Sequence) -> list[int]:
+    """Exact rationals scaled to coprime integers: clear the denominators,
+    then divide by the gcd.  Proportional inputs differ only in sign after."""
+    den = 1
+    for v in values:
+        if isinstance(v, Fraction):
+            den = lcm(den, v.denominator)
+        elif not isinstance(v, int):
+            raise ValueError(f"exact coefficient expected, got {type(v).__name__}")
+    ints = [v.numerator * (den // v.denominator) if isinstance(v, Fraction) else v * den
+            for v in values]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return ints
+
+
 def _to_int_row(form: Sequence, rel: str, dim: int):
     if len(form) != dim + 1:
         raise DimensionMismatchError(
             f"form has {len(form)} entries, expected dim+1 = {dim + 1}")
     if rel not in _RELS:
         raise ValueError(f"relation must be one of {_RELS}, got {rel!r}")
-    den = 1
-    for v in form:
-        if isinstance(v, Fraction):
-            den = lcm(den, v.denominator)
-        elif not isinstance(v, int):
-            raise ValueError(f"exact coefficient expected, got {type(v).__name__}")
-    ints = [v.numerator * (den // v.denominator) if isinstance(v, Fraction) else v * den
-            for v in form]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
+    ints = _primitive_ints(form)
     return tuple(ints[:-1]), ints[-1]
 
 

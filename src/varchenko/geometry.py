@@ -31,12 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .exactalg import (FactoredProduct, InternalConsistencyError, Monomial,
                        validate_var)
-from .feasibility import feasible_strict
+from .feasibility import _primitive_ints, feasible_strict
 
 DEFAULT_MAX_HYPERPLANES = 32
 DEFAULT_MAX_CHAMBERS = 6000
@@ -102,14 +101,7 @@ class Hyperplane:
         Proportional (normal, offset) pairs map to the same key: clear
         denominators, divide by the gcd, make the first nonzero entry positive.
         """
-        den = 1
-        for v in (*self.normal, self.offset):
-            den = lcm(den, v.denominator)
-        ints = [int(v * den) for v in (*self.normal, self.offset)]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        ints = [v // g for v in ints]
+        ints = _primitive_ints((*self.normal, self.offset))
         for v in ints:
             if v:
                 if v < 0:
@@ -259,9 +251,12 @@ def enumerate_chambers(A: Arrangement,
 
 
 def chamber_index(A: Arrangement, chamber: Union[Chamber, int]) -> int:
+    """Position of `chamber` (a Chamber or an index) in enumerate_chambers(A)."""
+    n = len(enumerate_chambers(A))
     if isinstance(chamber, int):
+        if not 0 <= chamber < n:
+            raise GeometryError(f"chamber index {chamber} out of range (0..{n - 1})")
         return chamber
-    enumerate_chambers(A)
     idx = A._cache["chamber_index"].get(chamber.signs)
     if idx is None:
         raise GeometryError("not a chamber of this arrangement")
@@ -362,7 +357,7 @@ def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> Face:
     hyps = A.hyperplanes
     if not (0 <= h < len(hyps)):
         raise GeometryError(f"hyperplane index {h} out of range")
-    chambers = enumerate_chambers(A)
+    chambers = A._cache["chambers"]  # enumerated by chamber_index
     C = chambers[ci]
     dim = A.dimension
     hp_h = hyps[h]

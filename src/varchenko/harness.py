@@ -22,11 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactalg import (FactoredProduct, Monomial, PrimeField, _mono_sort_key,
-                       factored_eval)
+from .closedform import formula
+from .exactalg import (DEFAULT_PRIME, FactoredProduct, Monomial, PrimeField,
+                       _mono_sort_key, factored_eval)
+from .families import FamilyKind
 from .geometry import (Arrangement, DuplicateHyperplaneError, Hyperplane,
-                       enumerate_chambers)
-from .matrix import degree_bound, det_bruteforce, varchenko_matrix_eval
+                       enumerate_chambers, factored_determinant_general)
+from .matrix import degree_bound, det_mod, varchenko_matrix_eval
 
 DEFAULT_TRIALS = 5
 DEFAULT_SEED = 0
@@ -51,11 +53,9 @@ class SplitMix64:
         self.state = state & _M64
 
     def next64(self) -> int:
-        self.state = (self.state + _GOLDEN) & _M64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-        return z ^ (z >> 31)
+        self.state = (z + _GOLDEN) & _M64
+        return _mix64(z)
 
 
 def trial_stream(seed: int, trial: int) -> SplitMix64:
@@ -73,6 +73,13 @@ def draw_nonzero(rng: SplitMix64, p: int) -> int:
         x = rng.next64()
         if x < limit:
             return 1 + x % span
+
+
+def trial_assignment(names, seed: int, trial: int, p: int) -> dict[str, int]:
+    """The evaluation point of one trial: a uniform nonzero value mod p per
+    weight name, drawn in sorted name order from the stream of (seed, trial)."""
+    rng = trial_stream(seed, trial)
+    return {name: draw_nonzero(rng, p) for name in sorted(names)}
 
 
 # ---------------------------------------------------------------------------
@@ -93,20 +100,43 @@ class DetSource:
         if (self.factored is None) == (self.arrangement is None):
             raise ValueError("a source is either factored or an arrangement")
 
+    def variables(self) -> tuple[str, ...]:
+        if self.factored is not None:
+            return self.factored.variables()
+        return self.arrangement.weight_names()
+
     def value_at(self, assignment: dict[str, int], field: PrimeField) -> int:
         if self.factored is not None:
             return factored_eval(self.factored, assignment, field)
         A = self.arrangement
-        M = varchenko_matrix_eval(A, enumerate_chambers(A), assignment, field)
-        return det_bruteforce(M)
+        rows = varchenko_matrix_eval(A, enumerate_chambers(A), assignment, field)
+        return det_mod(rows, field.p)
 
 
 def factored_source(label: str, f: FactoredProduct) -> DetSource:
     return DetSource(label, factored=f.canonical())
 
 
-def bruteforce_source(A: Arrangement, label: str = "bruteforce") -> DetSource:
-    return DetSource(label, arrangement=A)
+def bruteforce_source(A: Arrangement) -> DetSource:
+    return DetSource("bruteforce", arrangement=A)
+
+
+SOURCES = ("formula", "geometric", "bruteforce")
+
+
+def source(name: str, A: Arrangement, kind: Optional[FamilyKind] = None) -> DetSource:
+    """The source `name` (one of SOURCES) for the arrangement A: the printed
+    closed form of the family `kind`, the geometric factorization of A, or
+    the brute-force matrix determinant of A."""
+    if name == "formula":
+        if kind is None:
+            raise ValueError("the formula source needs a family kind")
+        return factored_source(name, formula(kind))
+    if name == "geometric":
+        return factored_source(name, factored_determinant_general(A))
+    if name == "bruteforce":
+        return bruteforce_source(A)
+    raise ValueError(f"unknown source {name!r} (expected one of {', '.join(SOURCES)})")
 
 
 # ---------------------------------------------------------------------------
@@ -220,28 +250,20 @@ def _assignment_digest(assignment: dict[str, int]) -> str:
 
 
 def verify_identity(lhs: DetSource, rhs: DetSource, trials: int = DEFAULT_TRIALS,
-                    prime: Optional[int] = None, seed: int = DEFAULT_SEED,
+                    prime: int = DEFAULT_PRIME, seed: int = DEFAULT_SEED,
                     subject: str = "") -> VerificationReport:
     """Evaluate both sides at `trials` random points of GF(prime).
 
-    Deterministic given (prime, seed): trial t draws its assignment from an
-    independent splitmix64 stream keyed by (seed, t), one uniform nonzero
-    value per weight variable in sorted name order.
+    Deterministic given (prime, seed): trial t evaluates both sides at
+    trial_assignment(weight names of both sides, seed, t, prime).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    field = PrimeField(prime if prime is not None else (1 << 61) - 1)
-    variables: set[str] = set()
-    for src in (lhs, rhs):
-        if src.arrangement is not None:
-            variables.update(src.arrangement.weight_names())
-        else:
-            variables.update(src.factored.variables())
-    names = sorted(variables)
+    field = PrimeField(prime)
+    names = {*lhs.variables(), *rhs.variables()}
     results = []
     for t in range(trials):
-        rng = trial_stream(seed, t)
-        assignment = {name: draw_nonzero(rng, field.p) for name in names}
+        assignment = trial_assignment(names, seed, t, field.p)
         lv = lhs.value_at(assignment, field)
         rv = rhs.value_at(assignment, field)
         results.append(Trial(_assignment_digest(assignment), lv, rv, lv == rv))
@@ -339,8 +361,8 @@ def parse_arrangement_file(text: str) -> Arrangement:
 
 __all__ = [
     "DEFAULT_SEED", "DEFAULT_TRIALS", "DetSource", "FactoredDiff",
-    "ParseError", "SplitMix64", "Trial", "VerificationReport",
+    "ParseError", "SOURCES", "SplitMix64", "Trial", "VerificationReport",
     "bruteforce_source", "compare_factored", "draw_nonzero",
-    "factored_source", "parse_arrangement_file", "trial_stream",
-    "verify_identity",
+    "factored_source", "parse_arrangement_file", "source",
+    "trial_assignment", "trial_stream", "verify_identity",
 ]

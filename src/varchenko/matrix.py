@@ -21,7 +21,6 @@ and from n = 6 up it is as fast or faster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .exactalg import FactoredProduct, MissingVariableError, PrimeField
@@ -32,19 +31,12 @@ class MatrixError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EvaluatedMatrix:
-    """Dense symmetric matrix of field elements with unit diagonal."""
-
-    field: PrimeField
-    entries: tuple[tuple[int, ...], ...]
-
-
 def varchenko_matrix_eval(A: Arrangement, chambers: Sequence[Chamber],
                           assignment: Mapping[str, int],
-                          field: PrimeField) -> EvaluatedMatrix:
-    """Entry (i, j) = product of the assigned weights of the hyperplanes
-    separating chamber i from chamber j, reduced in the field."""
+                          field: PrimeField) -> list[list[int]]:
+    """The rows of the matrix: entry (i, j) is the product of the assigned
+    weights of the hyperplanes separating chamber i from chamber j, reduced
+    in the field, so the matrix is symmetric with unit diagonal."""
     p = field.p
     weights = []
     for h in A.hyperplanes:
@@ -81,7 +73,7 @@ def varchenko_matrix_eval(A: Arrangement, chambers: Sequence[Chamber],
             v = product_for(mi ^ masks[j])
             row[j] = v
             rows[j][i] = v
-    return EvaluatedMatrix(field, tuple(tuple(r) for r in rows))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +87,9 @@ def _pack(slots: Sequence[int], wbytes: int) -> int:
 
 
 def det_mod(entries: Sequence[Sequence[int]], p: int) -> int:
-    """Determinant of a square integer matrix mod the prime p."""
+    """Determinant of a square integer matrix mod the prime p, by Gaussian
+    elimination with nonzero-pivot search; 0 when singular (legitimate at
+    special evaluation points)."""
     n = len(entries)
     for row in entries:
         if len(row) != n:
@@ -138,12 +132,6 @@ def det_mod(entries: Sequence[Sequence[int]], p: int) -> int:
     return det % p
 
 
-def det_bruteforce(M: EvaluatedMatrix) -> int:
-    """Gaussian elimination with nonzero-pivot search; 0 when singular
-    (legitimate at special evaluation points)."""
-    return det_mod(M.entries, M.field.p)
-
-
 def degree_bound(f: FactoredProduct) -> int:
     """Total degree of the expanded product: sum of 2 * exponent * degree(m).
 
@@ -152,7 +140,4 @@ def degree_bound(f: FactoredProduct) -> int:
     return sum(2 * e * mono.degree for mono, e in f.factors)
 
 
-__all__ = [
-    "EvaluatedMatrix", "MatrixError", "degree_bound", "det_bruteforce",
-    "det_mod", "varchenko_matrix_eval",
-]
+__all__ = ["MatrixError", "degree_bound", "det_mod", "varchenko_matrix_eval"]

@@ -3,10 +3,10 @@ import subprocess
 import sys
 
 from varchenko import geometry
-from varchenko.cli import main
+from varchenko.cli import build_parser, main
 from varchenko.closedform import formula_A, formula_D, zagier
 from varchenko.exactalg import factored_specialize_all
-from varchenko.harness import parse_arrangement_file
+from varchenko.harness import SOURCES, parse_arrangement_file
 
 BRAID3 = """\
 dim 3
@@ -99,6 +99,33 @@ def test_det_bruteforce_seeded_is_deterministic(capsys):
     assert code1 == code2 == 0 and out1 == out2
 
 
+def test_det_bruteforce_is_trial_zero_of_verify(capsys):
+    for seed in ("0", "5"):
+        code, out, _ = run(capsys, "det", "--kind", "B:3", "--mode", "bruteforce",
+                           "--seed", seed)
+        assert code == 0
+        det = json.loads(out)
+        code, out, _ = run(capsys, "verify", "--kind", "B:3", "--lhs", "formula",
+                           "--rhs", "bruteforce", "--seed", seed)
+        assert code == 0
+        first = json.loads(out)["trials"][0]
+        assert (det["assignment"], det["value"]) == (first["assignment"],
+                                                     first["rhs_value"])
+
+
+def test_det_bruteforce_rejects_boolean_weights(capsys, tmp_path):
+    # bool is a subclass of int; true must not pass as the weight 1
+    arr = tmp_path / "arr.txt"
+    arr.write_text("dim 1\nhyperplane 1 0 a\nhyperplane 1 1 b\n")
+    assign = tmp_path / "assign.json"
+    assign.write_text(json.dumps({"a": True, "b": 3}))
+    code, out, err = run(capsys, "det", "--file", str(arr), "--mode", "bruteforce",
+                         "--assign", str(assign))
+    assert code == 2
+    assert out == ""
+    assert "'a'" in err
+
+
 def test_det_bruteforce_missing_assignment_variable(capsys, tmp_path):
     arr = tmp_path / "arr.txt"
     arr.write_text(BRAID3)
@@ -142,6 +169,13 @@ def test_verify_byte_identical_reports(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_verify_source_choices_are_the_harness_sources():
+    verify = next(a for a in build_parser()._actions
+                  if isinstance(a.choices, dict)).choices["verify"]
+    choices = {a.dest: a.choices for a in verify._actions if a.dest in ("lhs", "rhs")}
+    assert choices == {"lhs": SOURCES, "rhs": SOURCES}
 
 
 def test_usage_errors_exit_two(capsys, tmp_path):

@@ -189,6 +189,14 @@ def test_face_d2_ray():
     assert D2.hyperplanes[1].value_at(w) > 0
 
 
+def test_face_rejects_chamber_index_out_of_range():
+    A = braid3()
+    assert face_of(A, 5, 0).chamber_index == 5
+    for bad in (-1, 6, 99):
+        with pytest.raises(GeometryError, match="chamber index"):
+            face_of(A, bad, 0)
+
+
 def test_face_witness_exactly_realizes_zeros():
     # witness lies on every zero hyperplane and strictly off every other;
     # with closure of the zeros set this pins dim(face) = dim(edge)

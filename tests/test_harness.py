@@ -4,10 +4,10 @@ from varchenko.closedform import formula_A, formula_D, formula_I2
 from varchenko.exactalg import DEFAULT_PRIME, NotPrimeError
 from varchenko.families import FamilyKind, build_family
 from varchenko.geometry import factored_determinant_general
-from varchenko.harness import (ParseError, bruteforce_source, compare_factored,
-                               draw_nonzero, factored_source,
-                               parse_arrangement_file, trial_stream,
-                               verify_identity)
+from varchenko.harness import (SOURCES, ParseError, bruteforce_source,
+                               compare_factored, draw_nonzero, factored_source,
+                               parse_arrangement_file, source,
+                               trial_assignment, trial_stream, verify_identity)
 
 
 def kind(s):
@@ -138,6 +138,31 @@ def test_factored_diff_attached_when_both_sides_factored():
         trials=2, subject="D:2")
     assert report.verdict == "FAIL"
     assert report.factored_diff is not None and not report.factored_diff.is_empty()
+
+
+def test_trial_assignment_draws_in_sorted_name_order():
+    rng = trial_stream(4, 2)
+    expect = {name: draw_nonzero(rng, 101) for name in ("a", "b", "c")}
+    assert trial_assignment(("c", "a", "b"), 4, 2, 101) == expect
+
+
+def test_source_by_name():
+    A = kind("A:3")
+    k = FamilyKind.parse("A:3")
+    made = {name: source(name, A, k) for name in SOURCES}
+    assert [s.label for s in made.values()] == list(SOURCES)
+    assert made["formula"].factored == formula_A(3)
+    assert made["geometric"].factored == factored_determinant_general(A).canonical()
+    assert made["bruteforce"].arrangement is A
+    assert all(s.variables() == A.weight_names() for s in made.values())
+
+
+def test_source_rejects_unknown_name_and_formula_without_kind():
+    A = kind("A:3")
+    with pytest.raises(ValueError, match="unknown source"):
+        source("matrix", A)
+    with pytest.raises(ValueError, match="needs a family kind"):
+        source("formula", A)
 
 
 def test_verify_rejects_bad_parameters():
