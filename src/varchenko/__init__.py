@@ -5,15 +5,11 @@ Coxeter families, and a randomized verification harness that adjudicates the
 closed forms against ground truth."""
 
 from .closedform import (formula, formula_A, formula_B, formula_D, formula_I2,
+                         printed_edges, signed_pair_weight, signed_subsets,
                          zagier)
 from .exactalg import (DEFAULT_PRIME, FactoredProduct, Monomial, PrimeField,
                        factored_eval, factored_specialize_all)
-from .families import (FamilyEdgeDescriptor, FamilyKind, SignedSubset,
-                       build_family, chambers_combinatorial,
-                       descriptor_hyperplanes, descriptor_weight_monomial,
-                       multiplicity_combinatorial,
-                       relevant_edges_combinatorial, signed_pair_weight,
-                       signed_subsets)
+from .families import FamilyKind, build_family, chambers_combinatorial
 from .feasibility import feasible_strict
 from .geometry import (Arrangement, Chamber, Edge, Face, Hyperplane,
                        canonical_edge, enumerate_chambers, face_of,

@@ -14,12 +14,10 @@ import json
 import sys
 from pathlib import Path
 
-from .closedform import formula, zagier
+from .closedform import formula, printed_edges, zagier
 from .exactalg import (DEFAULT_PRIME, ExactAlgError, PrimeField,
                        factored_specialize_all)
-from .families import (FamilyError, FamilyKind, build_family,
-                       descriptor_weight_monomial, multiplicity_combinatorial,
-                       relevant_edges_combinatorial)
+from .families import FamilyError, FamilyKind, build_family
 from .geometry import (Arrangement, GeometryError, enumerate_chambers,
                        factored_determinant_general, relevant_edges)
 from .harness import (DEFAULT_SEED, DEFAULT_TRIALS, SOURCES, DetSource,
@@ -113,21 +111,16 @@ def cmd_edges(args) -> int:
         if args.kind is None:
             raise CliError("--combinatorial needs --kind")
         kind = FamilyKind.parse(args.kind)
-        rows = []
-        for d in relevant_edges_combinatorial(kind):
-            entries = list(d.signed.entries) if d.variant == "signed_equal" else list(d.indices)
-            rows.append({
-                "variant": d.variant,
-                "entries": entries,
-                "weight": str(descriptor_weight_monomial(kind, d)),
-                "multiplicity": multiplicity_combinatorial(kind, d),
-            })
+        edges = printed_edges(kind)
         if args.emit == "json":
-            _emit_json({"kind": str(kind), "edges": rows})
+            _emit_json({"kind": str(kind), "edges": [
+                {"variant": e.variant, "entries": list(e.entries),
+                 "weight": str(e.monomial), "multiplicity": e.exponent}
+                for e in edges]})
         else:
-            for r in rows:
-                print(f"{r['variant']:13s} {str(r['entries']):24s} "
-                      f"weight {r['weight']}  multiplicity {r['multiplicity']}")
+            for e in edges:
+                print(f"{e.variant:13s} {str(list(e.entries)):24s} "
+                      f"weight {e.monomial}  multiplicity {e.exponent}")
         return 0
     A, _ = _load_arrangement(args)
     _prime_chambers(A, args)
@@ -157,8 +150,12 @@ def cmd_det(args) -> int:
         raw = json.loads(Path(args.assign).read_text())
         if not isinstance(raw, dict):
             raise CliError("assignment file must be a JSON object")
+        weights = set(A.weight_names())
         assignment = {}
         for name, value in raw.items():
+            if name not in weights:
+                raise CliError(f"assignment names {name!r}, which is not a weight "
+                               "of the arrangement")
             # bool is a subclass of int, but true/false are not weights
             if isinstance(value, bool) or not isinstance(value, int):
                 raise CliError(f"assignment for {name!r} must be an integer")

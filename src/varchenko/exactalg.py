@@ -150,12 +150,6 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
     def pow(self, a: int, e: int) -> int:
         return pow(a, e, self.p)
 

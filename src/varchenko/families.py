@@ -1,9 +1,10 @@
-"""Coxeter families A(n), B(n), D(n), I2(m): constructors and combinatorial models.
+"""Coxeter families A(n), B(n), D(n), I2(m): arrangement constructors and
+signed-permutation chambers.
 
-The geometric side (build_family) produces ordinary Arrangement objects; the
-combinatorial side describes chambers and relevant edges without chamber
-enumeration, directly from (signed) permutations and (signed) index subsets.
-The two sides are cross-checked against each other in the test suite.
+build_family produces ordinary Arrangement objects; chambers_combinatorial
+lists the chambers of A, B and D from (signed) permutations, without chamber
+enumeration, and the test suite checks the two against each other.  The
+printed factorizations of these families live in closedform.printed_edges.
 
 Conventions:
   A(n)   hyperplanes x_i = x_j (i < j) in R^n, weights q_{i,j}
@@ -17,10 +18,6 @@ irrational for most m.  Chambers, separating sets, edges and multiplicities
 of concurrent line arrangements depend only on the angular order of the
 lines, so every quantity this package computes is unchanged; for m in {2, 4}
 the angles are exact and I2(4) coincides with B(2) as a line set.
-
-multiplicity_combinatorial returns the printed closed-form exponent for each
-edge, even where the geometric engine disagrees; adjudication between the two
-is the verification harness's job, not this module's.
 """
 
 from __future__ import annotations
@@ -29,10 +26,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Iterator
 
-from .exactalg import Monomial, pair_var, single_var
+from .exactalg import pair_var, single_var
 from .geometry import Arrangement, Chamber, Hyperplane
 
 
@@ -149,222 +144,25 @@ def chambers_combinatorial(kind: FamilyKind) -> list[Chamber]:
     B(n): e_1 x_{s(1)} > ... > e_n x_{s(n)} > 0, signs e in {+-1}^n.
     D(n): e_1 x_{s(1)} > ... > e_{n-1} x_{s(n-1)} > |x_{s(n)}|, the last
           coordinate unsigned.
-    Each chamber gets an integer witness (rank values), and its sign vector
-    is read off that witness exactly.
+    Each chamber gets an integer witness, x_{s(k)} = e_k (n - k + 1) with
+    every e_k = 1 for A and x_{s(n)} = 0 for D, and its sign vector is read
+    off that witness exactly.
     """
+    if kind.letter == "I2":
+        raise FamilyError("combinatorial chambers exist for A, B, D only")
     n = kind.param
+    # how many leading positions carry a sign e, and the factor of the rest
+    signed, tail = {"A": (0, 1), "B": (n, 0), "D": (n - 1, 0)}[kind.letter]
     A = build_family(kind)
     chambers = []
-    if kind.letter == "A":
-        for perm in itertools.permutations(range(1, n + 1)):
+    for perm in itertools.permutations(range(1, n + 1)):
+        for eps in itertools.product((1, -1), repeat=signed):
+            signs = eps + (tail,) * (n - signed)
             w = [Fraction(0)] * n
             for pos, coord in enumerate(perm):
-                w[coord - 1] = Fraction(n - pos)
+                w[coord - 1] = Fraction(signs[pos] * (n - pos))
             witness = tuple(w)
             chambers.append(Chamber(_signs_at(A, witness), witness))
-        return chambers
-    if kind.letter == "B":
-        for perm in itertools.permutations(range(1, n + 1)):
-            for eps in itertools.product((1, -1), repeat=n):
-                w = [Fraction(0)] * n
-                for pos, coord in enumerate(perm):
-                    w[coord - 1] = Fraction(eps[pos] * (n - pos))
-                witness = tuple(w)
-                chambers.append(Chamber(_signs_at(A, witness), witness))
-        return chambers
-    if kind.letter == "D":
-        for perm in itertools.permutations(range(1, n + 1)):
-            for eps in itertools.product((1, -1), repeat=n - 1):
-                w = [Fraction(0)] * n
-                for pos, coord in enumerate(perm[:-1]):
-                    w[coord - 1] = Fraction(eps[pos] * (n - pos))
-                w[perm[-1] - 1] = Fraction(0)
-                witness = tuple(w)
-                chambers.append(Chamber(_signs_at(A, witness), witness))
-        return chambers
-    raise FamilyError("combinatorial chambers exist for A, B, D only")
+    return chambers
 
-
-# ---------------------------------------------------------------------------
-# signed subsets
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SignedSubset:
-    """Nonzero integers with pairwise distinct absolute values, canonicalized
-    so the entry of largest absolute value is positive (one representative of
-    each {J, -J} pair).  Entries are stored sorted by absolute value."""
-
-    entries: tuple[int, ...]
-
-    @staticmethod
-    def canonical(entries) -> "SignedSubset":
-        items = sorted(entries, key=abs)
-        if not items:
-            raise FamilyError("signed subset must be nonempty")
-        if any(e == 0 for e in items):
-            raise FamilyError("signed subset entries must be nonzero")
-        if len({abs(e) for e in items}) != len(items):
-            raise FamilyError("signed subset entries must have distinct absolute values")
-        if items[-1] < 0:
-            items = [-e for e in items]
-        return SignedSubset(tuple(items))
-
-    def __len__(self):
-        return len(self.entries)
-
-
-def signed_subsets(n: int, min_size: int = 1) -> Iterator[SignedSubset]:
-    """All canonical signed subsets of {-n..-1, 1..n} with size >= min_size,
-    in deterministic order (by size, then support, then sign pattern)."""
-    for k in range(min_size, n + 1):
-        for support in itertools.combinations(range(1, n + 1), k):
-            for signs in itertools.product((1, -1), repeat=k - 1):
-                entries = tuple(s * v for s, v in zip(signs + (1,), support))
-                yield SignedSubset.canonical(entries)
-
-
-def signed_pair_weight(a: int, b: int) -> str:
-    """Weight variable of the hyperplane through a pair of signed indices:
-    q_{i,j} when the signs agree (x_i = x_j), q_{-i,j} when they differ."""
-    if a == 0 or b == 0 or abs(a) == abs(b):
-        raise FamilyError(f"need nonzero entries with distinct absolute values, got {a}, {b}")
-    i, j = sorted((abs(a), abs(b)))
-    return pair_var(i, j, negated=(a > 0) != (b > 0))
-
-
-# ---------------------------------------------------------------------------
-# combinatorial relevant edges and the printed multiplicity formulas
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FamilyEdgeDescriptor:
-    """A relevant edge of a Coxeter family, named by what vanishes on it.
-
-    variant "equal":        x_{i_1} = ... = x_{i_r}   (indices, r >= 2)
-    variant "signed_equal": e_1 x_{i_1} = ... = e_r x_{i_r}  (signed, r >= 2)
-    variant "zero_set":     x_{i_1} = ... = x_{i_r} = 0     (indices, r >= 1)
-    """
-
-    variant: str
-    indices: tuple[int, ...] = ()
-    signed: SignedSubset | None = None
-
-    @property
-    def size(self) -> int:
-        return len(self.signed) if self.variant == "signed_equal" else len(self.indices)
-
-
-def _equal_descriptor(indices) -> FamilyEdgeDescriptor:
-    return FamilyEdgeDescriptor("equal", indices=tuple(sorted(indices)))
-
-
-def _zero_descriptor(indices) -> FamilyEdgeDescriptor:
-    return FamilyEdgeDescriptor("zero_set", indices=tuple(sorted(indices)))
-
-
-def _signed_descriptor(subset: SignedSubset) -> FamilyEdgeDescriptor:
-    return FamilyEdgeDescriptor("signed_equal", signed=subset)
-
-
-def descriptor_weight_vars(kind: FamilyKind, d: FamilyEdgeDescriptor) -> list[str]:
-    """Weight variables of the hyperplanes containing the described edge."""
-    if d.variant == "equal":
-        return [pair_var(i, j) for i, j in itertools.combinations(d.indices, 2)]
-    if d.variant == "signed_equal":
-        return [signed_pair_weight(a, b)
-                for a, b in itertools.combinations(d.signed.entries, 2)]
-    if d.variant == "zero_set":
-        names = []
-        if kind.letter == "B":
-            names.extend(single_var(u) for u in d.indices)
-        for i, j in itertools.combinations(d.indices, 2):
-            names.append(pair_var(i, j, False))
-            names.append(pair_var(i, j, True))
-        return names
-    raise FamilyError(f"unknown descriptor variant {d.variant!r}")
-
-
-def descriptor_weight_monomial(kind: FamilyKind, d: FamilyEdgeDescriptor) -> Monomial:
-    return Monomial.from_vars(descriptor_weight_vars(kind, d))
-
-
-def descriptor_hyperplanes(kind: FamilyKind, d: FamilyEdgeDescriptor) -> frozenset[int]:
-    """Indices of the containing hyperplanes inside build_family(kind)."""
-    A = build_family(kind)
-    index_of = {name: i for i, name in enumerate(A.weight_names())}
-    return frozenset(index_of[name] for name in descriptor_weight_vars(kind, d))
-
-
-def relevant_edges_combinatorial(kind: FamilyKind) -> list[FamilyEdgeDescriptor]:
-    """The families' relevant edges, described combinatorially.
-
-    A(n): every index subset of size >= 2.
-    B(n): every canonical signed subset of size >= 2, plus every zero set of
-          size >= 1.
-    D(n): every canonical signed subset of size >= 2, plus zero sets of size
-          >= 2 only ({x_i = 0} alone is not an intersection of D hyperplanes).
-    """
-    n = kind.param
-    if kind.letter == "A":
-        return [_equal_descriptor(c)
-                for k in range(2, n + 1)
-                for c in itertools.combinations(range(1, n + 1), k)]
-    if kind.letter in ("B", "D"):
-        out: list[FamilyEdgeDescriptor] = [
-            _signed_descriptor(s) for s in signed_subsets(n, min_size=2)]
-        min_zero = 1 if kind.letter == "B" else 2
-        out.extend(_zero_descriptor(c)
-                   for k in range(min_zero, n + 1)
-                   for c in itertools.combinations(range(1, n + 1), k))
-        return out
-    raise FamilyError("combinatorial edges exist for A, B, D only")
-
-
-def multiplicity_combinatorial(kind: FamilyKind, d: FamilyEdgeDescriptor) -> int:
-    """The printed closed-form multiplicity of the edge, taken at face value.
-
-    This models the published formulas exactly as stated, including the cases
-    where the geometric engine contradicts them; comparing the two is the
-    verification harness's job.  Undefined factorials (negative argument)
-    are rejected.
-    """
-    n = kind.param
-    r = d.size
-    if kind.letter == "A":
-        if d.variant != "equal" or r < 2:
-            raise FamilyError("A edges are index subsets of size >= 2")
-        return factorial(r - 2) * factorial(n - r + 1)
-    if kind.letter == "B":
-        if d.variant == "signed_equal":
-            if r < 2:
-                raise FamilyError("signed subset edges need size >= 2")
-            return (1 << (n - r + 1)) * factorial(r - 2) * factorial(n - r + 1)
-        if d.variant == "zero_set":
-            if r < 1:
-                raise FamilyError("zero-set edges need size >= 1")
-            return (1 << (n - 1)) * factorial(r - 1) * factorial(n - r)
-        raise FamilyError(f"descriptor {d.variant!r} not a B edge")
-    if kind.letter == "D":
-        if d.variant == "signed_equal":
-            if r < 2:
-                raise FamilyError("signed subset edges need size >= 2")
-            return (1 << (n - r)) * factorial(r - 2) * factorial(n - r + 1)
-        if d.variant == "zero_set":
-            if r < 2:
-                raise FamilyError("D zero-set edges need size >= 2 "
-                                  "((size-2)! is undefined below that)")
-            return (1 << (n - 1)) * factorial(r - 2) * factorial(n - r)
-        raise FamilyError(f"descriptor {d.variant!r} not a D edge")
-    raise FamilyError("combinatorial multiplicities exist for A, B, D only")
-
-
-__all__ = [
-    "FamilyError", "FamilyKind", "FamilyEdgeDescriptor", "SignedSubset",
-    "build_family", "chambers_combinatorial", "descriptor_hyperplanes",
-    "descriptor_weight_monomial", "descriptor_weight_vars",
-    "multiplicity_combinatorial", "relevant_edges_combinatorial",
-    "signed_pair_weight", "signed_subsets",
-]
+__all__ = ["FamilyError", "FamilyKind", "build_family", "chambers_combinatorial"]

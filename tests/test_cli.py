@@ -1,6 +1,9 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 from varchenko import geometry
 from varchenko.cli import build_parser, main
@@ -126,6 +129,19 @@ def test_det_bruteforce_rejects_boolean_weights(capsys, tmp_path):
     assert "'a'" in err
 
 
+def test_det_bruteforce_rejects_names_that_are_not_weights(capsys, tmp_path):
+    # a misspelt weight must not pass unnoticed beside the real one
+    arr = tmp_path / "arr.txt"
+    arr.write_text("dim 1\nhyperplane 1 0 a\nhyperplane 1 1 b\n")
+    assign = tmp_path / "assign.json"
+    assign.write_text(json.dumps({"a": 2, "b": 3, "typo": 5}))
+    code, out, err = run(capsys, "det", "--file", str(arr), "--mode", "bruteforce",
+                         "--assign", str(assign))
+    assert code == 2
+    assert out == ""
+    assert "'typo'" in err
+
+
 def test_det_bruteforce_missing_assignment_variable(capsys, tmp_path):
     arr = tmp_path / "arr.txt"
     arr.write_text(BRAID3)
@@ -238,3 +254,22 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == zagier(3).to_json_obj()
+
+
+def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
+    # every `varchenko ...` line of README's "Command line" section exits 0;
+    # arr.txt is README's own arrangement-file example
+    section = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = section.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"(?:^    .*\n)+", section, flags=re.M)
+    commands = [shlex.split(line.split("#", 1)[0])[1:] for line in blocks[0].splitlines()
+                if line.strip().startswith("varchenko ")]
+    example = "".join(line[4:] + "\n" for line in blocks[1].splitlines())
+    (tmp_path / "arr.txt").write_text(example)
+    names = parse_arrangement_file(example).weight_names()
+    (tmp_path / "assign.json").write_text(json.dumps({w: i + 2 for i, w in enumerate(names)}))
+    monkeypatch.chdir(tmp_path)
+    assert len(commands) >= 9
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (shlex.join(argv), err)

@@ -2,19 +2,23 @@ from math import comb, factorial
 
 import pytest
 
+from varchenko.closedform import printed_edges, signed_pair_weight, signed_subsets
 from varchenko.exactalg import Monomial
-from varchenko.families import (FamilyError, FamilyKind, SignedSubset,
-                                build_family, chambers_combinatorial,
-                                descriptor_hyperplanes,
-                                descriptor_weight_monomial,
-                                multiplicity_combinatorial,
-                                relevant_edges_combinatorial,
-                                signed_pair_weight, signed_subsets)
-from varchenko.geometry import canonical_edge, enumerate_chambers, relevant_edges
+from varchenko.families import (FamilyError, FamilyKind, build_family,
+                                chambers_combinatorial)
+from varchenko.geometry import (canonical_edge, enumerate_chambers, multiplicity,
+                                relevant_edges)
 
 
 def kind(s):
     return FamilyKind.parse(s)
+
+
+def hyperplanes_of(A, e):
+    """Indices in A of the hyperplanes whose weights make up the printed
+    edge's monomial."""
+    index_of = {name: i for i, name in enumerate(A.weight_names())}
+    return frozenset(index_of[name] for name in e.monomial.variables())
 
 
 # ---------------------------------------------------------------------------
@@ -105,20 +109,8 @@ def test_combinatorial_rejects_i2():
 # ---------------------------------------------------------------------------
 
 
-def test_signed_subset_canonicalization():
-    assert SignedSubset.canonical([2, -1]).entries == (-1, 2)
-    assert SignedSubset.canonical([-3, 1, 2]).entries == (-1, -2, 3)
-    assert SignedSubset.canonical([-2, 1]).entries == (-1, 2)
-    with pytest.raises(FamilyError):
-        SignedSubset.canonical([1, -1])
-    with pytest.raises(FamilyError):
-        SignedSubset.canonical([0, 2])
-    with pytest.raises(FamilyError):
-        SignedSubset.canonical([])
-
-
 def test_signed_subsets_of_rank_three():
-    got = {s.entries for s in signed_subsets(3)}
+    got = set(signed_subsets(3))
     expect = {
         (1,), (2,), (3,),
         (1, 2), (-1, 2), (1, 3), (-1, 3), (2, 3), (-2, 3),
@@ -132,6 +124,8 @@ def test_signed_subsets_of_rank_three():
 def test_signed_subset_counts(n):
     for k in range(1, n + 1):
         assert sum(1 for s in signed_subsets(n) if len(s) == k) == comb(n, k) * 2**(k - 1)
+    assert all(s[-1] > 0 and [abs(e) for e in s] == sorted({abs(e) for e in s})
+               for s in signed_subsets(n))
 
 
 def test_signed_pair_weight():
@@ -144,13 +138,13 @@ def test_signed_pair_weight():
 
 
 # ---------------------------------------------------------------------------
-# combinatorial edges
+# printed edges
 # ---------------------------------------------------------------------------
 
 
 def test_braid_descriptors_rank_three():
-    ds = relevant_edges_combinatorial(kind("A:3"))
-    assert [(d.variant, d.indices) for d in ds] == [
+    es = printed_edges(kind("A:3"))
+    assert [(e.variant, e.entries) for e in es] == [
         ("equal", (1, 2)), ("equal", (1, 3)), ("equal", (2, 3)),
         ("equal", (1, 2, 3)),
     ]
@@ -158,49 +152,45 @@ def test_braid_descriptors_rank_three():
 
 def test_b2_descriptor_count_matches_geometry():
     k = kind("B:2")
-    ds = relevant_edges_combinatorial(k)
-    assert len(ds) == 5  # 2 signed pairs + 3 zero sets
-    geo = relevant_edges(build_family(k))
+    A = build_family(k)
+    es = printed_edges(k)
+    assert len(es) == 5  # 2 signed pairs + 3 zero sets
+    geo = relevant_edges(A)
     assert len(geo) == 5
-    assert {descriptor_hyperplanes(k, d) for d in ds} == {e.containing for e in geo}
+    assert {hyperplanes_of(A, e) for e in es} == {g.containing for g in geo}
 
 
 def test_zero_set_weight_monomial():
-    k = kind("B:2")
-    d = next(d for d in relevant_edges_combinatorial(k)
-             if d.variant == "zero_set" and d.indices == (1, 2))
-    assert descriptor_weight_monomial(k, d) == Monomial.from_vars(
-        ["q_{1}", "q_{2}", "q_{1,2}", "q_{-1,2}"])
+    e = next(e for e in printed_edges(kind("B:2"))
+             if e.variant == "zero_set" and e.entries == (1, 2))
+    assert e.monomial == Monomial.from_vars(["q_{1}", "q_{2}", "q_{1,2}", "q_{-1,2}"])
 
 
 @pytest.mark.parametrize("sel", ["A:2", "A:3", "A:4", "B:2", "B:3", "B:4",
                                  "D:2", "D:3", "D:4"])
 def test_descriptor_weights_match_geometric_edges(sel):
-    k = kind(sel)
-    A = build_family(k)
-    for d in relevant_edges_combinatorial(k):
-        hset = descriptor_hyperplanes(k, d)
-        e = canonical_edge(A, hset)
-        assert e.containing == hset  # descriptor sets are closed
-        assert e.weight_monomial == descriptor_weight_monomial(k, d)
+    A = build_family(kind(sel))
+    for e in printed_edges(kind(sel)):
+        hset = hyperplanes_of(A, e)
+        g = canonical_edge(A, hset)
+        assert g.containing == hset  # printed hyperplane sets are closed
+        assert g.weight_monomial == e.monomial
 
 
 @pytest.mark.parametrize("sel", ["A:2", "A:3", "A:4", "B:2", "B:3"])
 def test_descriptors_enumerate_relevant_edges_for_a_and_b(sel):
-    k = kind(sel)
-    geo = {e.containing for e in relevant_edges(build_family(k))}
-    comb_sets = {descriptor_hyperplanes(k, d) for d in relevant_edges_combinatorial(k)}
-    assert comb_sets == geo
+    A = build_family(kind(sel))
+    geo = {g.containing for g in relevant_edges(A)}
+    assert {hyperplanes_of(A, e) for e in printed_edges(kind(sel))} == geo
 
 
 @pytest.mark.parametrize("sel", ["D:2", "D:3"])
 def test_d_descriptors_cover_relevant_edges(sel):
-    # the D zero-set descriptors of size < n have geometric multiplicity 0,
-    # so the descriptor family is a strict superset of the relevant edges
-    k = kind(sel)
-    geo = {e.containing for e in relevant_edges(build_family(k))}
-    comb_sets = {descriptor_hyperplanes(k, d) for d in relevant_edges_combinatorial(k)}
-    assert geo <= comb_sets
+    # the D zero sets of size < n have geometric multiplicity 0, so the
+    # printed edges are a strict superset of the relevant edges
+    A = build_family(kind(sel))
+    geo = {g.containing for g in relevant_edges(A)}
+    assert geo <= {hyperplanes_of(A, e) for e in printed_edges(kind(sel))}
 
 
 # ---------------------------------------------------------------------------
@@ -209,35 +199,23 @@ def test_d_descriptors_cover_relevant_edges(sel):
 
 
 def test_printed_multiplicity_braid():
-    k = kind("A:4")
-    d = next(d for d in relevant_edges_combinatorial(k) if d.indices == (1, 2))
-    assert multiplicity_combinatorial(k, d) == factorial(0) * factorial(3)
+    e = next(e for e in printed_edges(kind("A:4")) if e.entries == (1, 2))
+    assert e.exponent == factorial(0) * factorial(3)
 
 
 def test_printed_multiplicity_b_origin_matches_i2_4():
-    k = kind("B:2")
-    d = next(d for d in relevant_edges_combinatorial(k)
-             if d.variant == "zero_set" and d.indices == (1, 2))
-    assert multiplicity_combinatorial(k, d) == 2  # equals the I2(4) origin exponent
+    e = next(e for e in printed_edges(kind("B:2"))
+             if e.variant == "zero_set" and e.entries == (1, 2))
+    assert e.exponent == 2  # equals the I2(4) origin exponent
 
 
 def test_printed_multiplicity_d_differs_from_engine():
     k = kind("D:3")
-    d = next(d for d in relevant_edges_combinatorial(k)
-             if d.variant == "signed_equal" and d.signed.entries == (1, 2, 3))
-    assert multiplicity_combinatorial(k, d) == 1  # printed value
+    e = next(e for e in printed_edges(k)
+             if e.variant == "signed_equal" and e.entries == (1, 2, 3))
+    assert e.exponent == 1  # printed value
     A = build_family(k)
-    e = canonical_edge(A, descriptor_hyperplanes(k, d))
-    from varchenko.geometry import multiplicity
-    assert multiplicity(A, e) == 2  # engine ground truth
-
-
-def test_undefined_factorial_rejected():
-    k = kind("D:3")
-    from varchenko.families import FamilyEdgeDescriptor
-    d = FamilyEdgeDescriptor("zero_set", indices=(1,))
-    with pytest.raises(FamilyError):
-        multiplicity_combinatorial(k, d)
+    assert multiplicity(A, canonical_edge(A, hyperplanes_of(A, e))) == 2  # engine ground truth
 
 
 def test_binomial_identity_ties_braid_exponent_to_single_variable_form():
