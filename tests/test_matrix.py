@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varchenko.closedform import formula_A
+from varchenko import matrix
+from varchenko.closedform import formula_A, formula_B
 from varchenko.exactalg import (DEFAULT_PRIME, MissingVariableError,
                                 PrimeField, factored_eval)
 from varchenko.families import FamilyKind, build_family
 from varchenko.geometry import enumerate_chambers
+from varchenko.harness import trial_assignment
 from varchenko.matrix import (MatrixError, degree_bound, det_mod,
                               varchenko_matrix_eval)
 
@@ -217,6 +219,57 @@ def test_packed_det_on_structured_matrix():
     for i in range(n):
         rows[i][i] = 1
     assert det_mod(rows, p) == _det_simple([r[:] for r in rows], p)
+
+
+def _symmetric(upper_entries, n):
+    rows = [[0] * n for _ in range(n)]
+    it = iter(upper_entries)
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(it)
+    return rows
+
+
+@given(st.integers(1, 8), st.sampled_from([5, 7, 13, 10007, DEFAULT_PRIME]), st.data())
+@settings(max_examples=150)
+def test_symmetric_det_agrees_with_simple(n, p, data):
+    # from dense to mostly zeros, so that zero diagonal pivots occur and
+    # det_mod falls back to the row-pivoting kernel on a share of the examples
+    zeros = data.draw(st.integers(0, 2))
+    entry = st.one_of([st.just(0)] * zeros + [st.integers(-p, 2 * p)])
+    rows = _symmetric(data.draw(st.lists(entry, min_size=n * (n + 1) // 2,
+                                         max_size=n * (n + 1) // 2)), n)
+    assert det_mod(rows, p) == _det_simple([row[:] for row in rows], p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 10007, DEFAULT_PRIME])
+def test_symmetric_det_zero_first_pivot(p):
+    # nonsingular with a zero first pivot: only the fallback can compute it
+    assert det_mod([[0, 1], [1, 0]], p) == p - 1
+    assert det_mod([[1, 1], [1, 1]], p) == 0
+
+
+def test_det_tuple_rows_equal_list_rows():
+    symmetric = [[2, 3, 0], [3, 0, 5], [0, 5, 7]]
+    general = [[2, 3, 0], [1, 0, 5], [4, 5, 7]]
+    for rows in (symmetric, general):
+        for p in (7, DEFAULT_PRIME):
+            assert det_mod(tuple(tuple(r) for r in rows), p) == det_mod(rows, p)
+            assert det_mod(rows, p) == _det_simple([r[:] for r in rows], p)
+
+
+def test_varchenko_matrices_take_the_symmetric_kernel(monkeypatch):
+    def refuse(entries, p):
+        raise AssertionError("row-pivoting kernel called on a Varchenko matrix")
+
+    monkeypatch.setattr(matrix, "_det_pivoting", refuse)
+    A = kind("B:3")
+    ch = enumerate_chambers(A)
+    f = formula_B(3)
+    for trial in range(3):
+        assignment = trial_assignment(A.weight_names(), 0, trial, F.p)
+        M = varchenko_matrix_eval(A, ch, assignment, F)
+        assert det_mod(M, F.p) == factored_eval(f, assignment, F)
 
 
 # ---------------------------------------------------------------------------
