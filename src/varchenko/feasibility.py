@@ -12,7 +12,9 @@ a_1, ..., a_n, c representing the affine function a.x + c, and rel is one of
 
 Implementation notes:
   * all elimination arithmetic is on scaled integer rows; Fractions only
-    appear during witness back-substitution,
+    appear during witness back-substitution.  An all-integer form is used as
+    it is (callers with hot loops pass precomputed primitive rows); a form
+    with Fractions is first scaled to primitive integers,
   * equations are eliminated first by exact substitution,
   * derived rows are gcd-normalized and deduplicated; for identical
     coefficient vectors only the tightest constant is kept (this is what
@@ -64,6 +66,10 @@ def _to_int_row(form: Sequence, rel: str, dim: int):
             f"form has {len(form)} entries, expected dim+1 = {dim + 1}")
     if rel not in _RELS:
         raise ValueError(f"relation must be one of {_RELS}, got {rel!r}")
+    if all(type(v) is int for v in form):
+        # integer rows go in as they are: every derived row is normalized,
+        # and neither pivot choice nor witness depends on a row's scale
+        return tuple(form[:-1]), form[-1]
     ints = _primitive_ints(form)
     return tuple(ints[:-1]), ints[-1]
 

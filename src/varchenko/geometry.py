@@ -1,11 +1,18 @@
 """Weighted hyperplane arrangements: chambers, faces, edges, multiplicities.
 
-The engine is fully exact (integer and Fraction arithmetic throughout) and
-works for any arrangement with rational coefficients, central or not.  The
-pipeline:
+The engine is fully exact and works for any arrangement with rational
+coefficients, central or not.  Each hyperplane enters the hot loops as its
+primitive integer row (normal, -offset), computed once per arrangement;
+points are integer numerators over one common denominator, so a sign test is
+one integer dot product.  Fractions remain only in witnesses: those
+feasible_strict returns and those handed out here.
+The pipeline:
 
-  enumerate_chambers   incremental insertion, one exact feasibility test per
-                       candidate sign extension
+  enumerate_chambers   incremental insertion; a region's witness decides one
+                       side of the new hyperplane for free, and the other
+                       side costs one exact feasibility test, or none when
+                       the witness lies on the hyperplane (both sides are
+                       then nonempty)
   face_of              the closed chamber intersected with one hyperplane,
                        with the set of hyperplanes vanishing on it; facets
                        come from chamber adjacency, further zeros from the
@@ -14,7 +21,7 @@ pipeline:
                        (central arrangements use the origin as base point,
                        and the face table copies each face of -C from C)
   canonical_edge       intersection of a hyperplane subset, closed under
-                       implied hyperplanes, by rational Gaussian elimination
+                       implied hyperplanes, by integer Gaussian elimination
   relevant_edges       edges generated by faces, each with its multiplicity
   multiplicity         half the number of chambers whose face at a pivot
                        hyperplane spans exactly the given edge
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .exactalg import (FactoredProduct, InternalConsistencyError, Monomial,
@@ -177,20 +185,35 @@ class Edge:
 
 
 # ---------------------------------------------------------------------------
-# relation-row helpers
+# integer rows and points
 # ---------------------------------------------------------------------------
 
 
-def _side_row(h: Hyperplane, sign: int):
-    return tuple(sign * a for a in h.normal) + (-sign * h.offset,)
+def _int_rows(A: Arrangement) -> tuple:
+    """Per hyperplane i, the primitive integer rows of H_i > 0 and H_i < 0:
+    (normal, -offset) cleared of denominators and its negation.  Computed
+    once per arrangement; rows[i][s < 0] is the row of side s."""
+    rows = A._cache.get("int_rows")
+    if rows is None:
+        rows = []
+        for hp in A.hyperplanes:
+            row = tuple(_primitive_ints(hp.normal + (-hp.offset,)))
+            rows.append((row, tuple(-v for v in row)))
+        rows = A._cache["int_rows"] = tuple(rows)
+    return rows
 
 
-def _eq_row(h: Hyperplane):
-    return h.normal + (-h.offset,)
+def _homogeneous(point: Sequence) -> tuple[tuple[int, ...], int]:
+    """A rational point as integer numerators over one positive denominator."""
+    den = 1
+    for x in point:
+        den = lcm(den, x.denominator)
+    return tuple(x.numerator * (den // x.denominator) for x in point), den
 
 
-def _sign_of(value: Fraction) -> int:
-    return 1 if value > 0 else (-1 if value < 0 else 0)
+def _at(row: Sequence[int], nums: Sequence[int], den: int) -> int:
+    """den times the value of the integer row at the point nums / den."""
+    return sum(a * x for a, x in zip(row, nums)) + row[-1] * den
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +227,11 @@ def enumerate_chambers(A: Arrangement,
     """All chambers of A, sorted lexicographically on signs with + before -.
 
     Incremental insertion: the regions of the first k hyperplanes are split
-    by hyperplane k+1.  A region's witness decides one side for free; the
-    other side costs one exact feasibility test.
+    by hyperplane k+1.  A region's witness w decides one side for free, and
+    the other side costs one exact feasibility test.  When w lies on the new
+    hyperplane H, both sides are nonempty and no test is needed: w +- t n_H
+    are strict points of the two sides, where t is half the smallest
+    K(w) / |n_K . n_H| over the region's rows K.
     """
     m = len(A.hyperplanes)
     cached = A._cache.get("chambers")
@@ -222,30 +248,45 @@ def enumerate_chambers(A: Arrangement,
     if m > limit_h:
         raise GuardExceededError("hyperplane", m, limit_h)
     dim = A.dimension
-    origin = tuple(Fraction(0) for _ in range(dim))
-    # region: (signs, witness, strict rows so far)
-    regions = [((), origin, [])]
-    for h in A.hyperplanes:
+    # region: (signs, witness numerators, witness denominator, strict rows so far)
+    regions = [((), (0,) * dim, 1, [])]
+    for up, down in _int_rows(A):
+        normal = up[:-1]
         new_regions = []
-        for signs, witness, rows in regions:
-            v = h.value_at(witness)
-            s = _sign_of(v)
-            candidates = (s, -s) if s else (1, -1)
-            for side in candidates:
-                row = (_side_row(h, side), ">")
-                if side == s:
-                    new_regions.append((signs + (side,), witness, rows + [row]))
-                    continue
-                w = feasible_strict(rows + [row], dim)
+        for signs, nums, den, rows in regions:
+            v = _at(up, nums, den)
+            if v:
+                side = 1 if v > 0 else -1
+                new_regions.append((signs + (side,), nums, den,
+                                    rows + [(up if side > 0 else down, ">")]))
+                far = rows + [(down if side > 0 else up, ">")]
+                w = feasible_strict(far, dim)
                 if w is not None:
-                    new_regions.append((signs + (side,), w, rows + [row]))
+                    new_regions.append((signs + (-side,), *_homogeneous(w), far))
+                continue
+            # w lies on H: t = q / (2 den), q the smallest den K(w) / |n_K . n_H|
+            q = None
+            for K, _ in rows:
+                c = abs(sum(a * b for a, b in zip(K, normal)))
+                if c:
+                    kw = _at(K, nums, den)
+                    if q is None or kw * q[1] < q[0] * c:
+                        q = (kw, c)
+            qn, qd = q or (1, 1)
+            for side, row in ((1, up), (-1, down)):
+                shifted = [2 * qd * x + side * qn * a for x, a in zip(nums, normal)]
+                d = 2 * qd * den
+                g = gcd(d, *shifted)
+                new_regions.append((signs + (side,), tuple(x // g for x in shifted),
+                                    d // g, rows + [(row, ">")]))
         if len(new_regions) > limit_c:
             raise GuardExceededError("chamber", len(new_regions), limit_c)
         regions = new_regions
-    chambers = tuple(sorted(
-        (Chamber(signs, witness) for signs, witness, _ in regions),
-        key=lambda c: tuple(0 if s > 0 else 1 for s in c.signs)))
+    regions.sort(key=lambda r: tuple(0 if s > 0 else 1 for s in r[0]))
+    chambers = tuple(Chamber(signs, tuple(Fraction(x, den) for x in nums))
+                     for signs, nums, den, _ in regions)
     A._cache["chambers"] = chambers
+    A._cache["witnesses"] = tuple((nums, den) for _, nums, den, _ in regions)
     A._cache["chamber_index"] = {c.signs: i for i, c in enumerate(chambers)}
     return chambers
 
@@ -268,41 +309,38 @@ def chamber_index(A: Arrangement, chamber: Union[Chamber, int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _reduce_row(row: list[Fraction], basis: list[tuple[int, list[Fraction]]]):
+def _reduce_row(row: Sequence[int], basis: list[tuple[int, list[int]]]) -> list[int]:
+    """The integer row with the pivot column of each basis row cleared, in
+    basis order.  A basis row is zero on the pivots of the rows before it, so
+    clearing a later pivot never refills an earlier one."""
+    row = list(row)
     for col, brow in basis:
         f = row[col]
         if f:
-            for i in range(len(row)):
-                row[i] -= f * brow[i]
+            p = brow[col]
+            row = [p * x - f * y for x, y in zip(row, brow)]
     return row
 
 
-def _extend_basis(basis: list[tuple[int, list[Fraction]]], row: list[Fraction],
-                  n: int) -> bool:
+def _extend_basis(basis: list[tuple[int, list[int]]], row: list[int], n: int) -> bool:
     """Add `row`, already reduced against `basis`, as a new pivot row.
 
-    The basis is kept in reduced row echelon form over the first n columns
+    The basis is an echelon form of integer rows over the first n columns
     (the normal); column n is the constant.  Returns False, leaving the basis
     unchanged, when the row has no pivot among the first n columns.
     """
     col = next((j for j in range(n) if row[j]), None)
     if col is None:
         return False
-    inv = 1 / row[col]
-    row = [v * inv for v in row]
-    for _, brow in basis:
-        f = brow[col]
-        if f:
-            for j in range(n + 1):
-                brow[j] -= f * row[j]
-    basis.append((col, row))
+    g = gcd(*row)
+    basis.append((col, [v // g for v in row]))
     return True
 
 
 def canonical_edge(A: Arrangement, subset: Iterable[int]) -> Edge:
     """Intersection of the given hyperplanes, closed under implication.
 
-    Gaussian elimination over the rationals on the augmented rows; a
+    Gaussian elimination on the augmented integer rows; a
     hyperplane belongs to the edge iff its equation reduces to zero against
     the row basis.  Multiplicity is left unset (0).
     """
@@ -313,13 +351,14 @@ def canonical_edge(A: Arrangement, subset: Iterable[int]) -> Edge:
         if not (0 <= i < len(A.hyperplanes)):
             raise GeometryError(f"hyperplane index {i} out of range")
     n = A.dimension
-    basis: list[tuple[int, list[Fraction]]] = []
+    rows = _int_rows(A)
+    basis: list[tuple[int, list[int]]] = []
     for i in sorted(idxs):
-        row = _reduce_row(list(_eq_row(A.hyperplanes[i])), basis)
+        row = _reduce_row(rows[i][0], basis)
         if not _extend_basis(basis, row, n) and row[n]:
             raise EmptyIntersectionError(f"hyperplanes {sorted(idxs)} do not meet")
-    containing = frozenset(i for i, h in enumerate(A.hyperplanes)
-                           if i in idxs or not any(_reduce_row(list(_eq_row(h)), basis)))
+    containing = frozenset(i for i, (row, _) in enumerate(rows)
+                           if i in idxs or not any(_reduce_row(row, basis)))
     mono = Monomial.from_vars(A.hyperplanes[i].weight for i in sorted(containing))
     return Edge(containing, n - len(basis), mono, 0)
 
@@ -354,53 +393,60 @@ def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> Face:
       * a hyperplane strict at the running witness average is not a zero.
     """
     ci = chamber_index(A, chamber)
-    hyps = A.hyperplanes
-    if not (0 <= h < len(hyps)):
+    if not (0 <= h < len(A.hyperplanes)):
         raise GeometryError(f"hyperplane index {h} out of range")
-    chambers = A._cache["chambers"]  # enumerated by chamber_index
-    C = chambers[ci]
+    signs = A._cache["chambers"][ci].signs  # enumerated by chamber_index
     dim = A.dimension
-    hp_h = hyps[h]
+    rows = _int_rows(A)
+    eq_h = rows[h][0]
 
-    flipped = C.signs[:h] + (-C.signs[h],) + C.signs[h + 1:]
+    flipped = signs[:h] + (-signs[h],) + signs[h + 1:]
     cj = A._cache["chamber_index"].get(flipped)
     if cj is not None:
-        p, q = C.witness, chambers[cj].witness
-        vp, vq = hp_h.value_at(p), hp_h.value_at(q)
-        t = vp / (vp - vq)
-        return Face(ci, h, frozenset([h]), tuple(a + t * (b - a) for a, b in zip(p, q)))
+        # p = P / dp and q = Q / dq; the point (b p - a q) / (b - a) for the
+        # values a, b of H_h at p, q lies on H_h
+        witnesses = A._cache["witnesses"]
+        (P, dp), (Q, dq) = witnesses[ci], witnesses[cj]
+        a, b = _at(eq_h, P, dp), _at(eq_h, Q, dq)
+        den = b * dp - a * dq
+        return Face(ci, h, frozenset([h]),
+                    tuple(Fraction(b * x - a * y, den) for x, y in zip(P, Q)))
 
-    eq = (_eq_row(hp_h), "=")
-    weak = [(_side_row(hp, C.signs[i]), ">=") for i, hp in enumerate(hyps) if i != h]
+    eq = (eq_h, "=")
+    weak = [(rows[i][s < 0], ">=") for i, s in enumerate(signs) if i != h]
     if _is_central(A):
-        base = tuple(Fraction(0) for _ in range(dim))
+        nums, den = (0,) * dim, 1
     else:
         base = feasible_strict([eq] + weak, dim)
         if base is None:
             raise EmptyFaceError(f"chamber {ci} closure does not meet hyperplane {h}")
+        nums, den = _homogeneous(base)
 
-    basis: list[tuple[int, list[Fraction]]] = []
-    _extend_basis(basis, list(_eq_row(hp_h)), dim)
+    basis: list[tuple[int, list[int]]] = []
+    _extend_basis(basis, eq_h, dim)
+    # nums / den is the sum of the k witnesses found so far
     k = 1
-    total = list(base)
     zeros = {h}
-    for i, hp in enumerate(hyps):
+    for i, s in enumerate(signs):
         if i == h:
             continue
-        if C.signs[i] * hp.value_at([t / k for t in total]) > 0:
+        strict = rows[i][s < 0]
+        if _at(strict, nums, den * k) > 0:
             continue
-        row = _reduce_row(list(_eq_row(hp)), basis)
+        row = _reduce_row(rows[i][0], basis)
         if not any(row):
             zeros.add(i)
             continue
-        wi = feasible_strict([eq] + weak + [(_side_row(hp, C.signs[i]), ">")], dim)
+        wi = feasible_strict([eq] + weak + [(strict, ">")], dim)
         if wi is None:
             zeros.add(i)
             _extend_basis(basis, row, dim)
         else:
             k += 1
-            total = [t + v for t, v in zip(total, wi)]
-    return Face(ci, h, frozenset(zeros), tuple(t / k for t in total))
+            wn, wd = _homogeneous(wi)
+            nums = tuple(x * wd + y * den for x, y in zip(nums, wn))
+            den *= wd
+    return Face(ci, h, frozenset(zeros), tuple(Fraction(x, den * k) for x in nums))
 
 
 def _face_edge_table(A: Arrangement) -> dict:

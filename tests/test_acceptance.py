@@ -216,7 +216,7 @@ def test_criterion_8_counting_reproductions():
                 "signed subsets reproduced exactly")
 
 
-def test_criterion_9_deterministic_reports():
+def test_criterion_9_deterministic_reports(module_env):
     in_process = [
         verify_identity(
             factored_source("formula", formula_I2(6)),
@@ -228,7 +228,7 @@ def test_criterion_9_deterministic_reports():
     args = [sys.executable, "-m", "varchenko", "verify", "--kind", "B:2",
             "--lhs", "formula", "--rhs", "bruteforce",
             "--trials", "5", "--seed", "7"]
-    runs = [subprocess.run(args, capture_output=True) for _ in range(2)]
+    runs = [subprocess.run(args, capture_output=True, env=module_env) for _ in range(2)]
     assert runs[0].returncode == 0 and runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
     announce(9, "verification reports byte-identical across repeated runs "

@@ -3,7 +3,10 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from varchenko import geometry
 from varchenko.cli import build_parser, main
@@ -55,6 +58,38 @@ def test_chambers_file(capsys, tmp_path):
     code, out, _ = run(capsys, "chambers", "--file", str(path), "--emit", "json")
     assert code == 0
     assert json.loads(out)["count"] == 6
+
+
+AFFINE_PARALLEL = """\
+dim 2
+hyperplane 1 0 0 a
+hyperplane 1 0 1 b
+hyperplane 1 1 1 c
+hyperplane 0 1 -1 d
+"""
+
+
+@pytest.mark.parametrize("source", ["B:3", "file"])
+def test_chambers_json_witnesses_are_strict(capsys, tmp_path, source):
+    # a witness is some interior point of its chamber, not a canonical one:
+    # check only that it lies strictly on the printed side of every hyperplane
+    if source == "file":
+        path = tmp_path / "arr.txt"
+        path.write_text(AFFINE_PARALLEL)
+        A = parse_arrangement_file(AFFINE_PARALLEL)
+        argv = ("--file", str(path))
+    else:
+        argv = ("--kind", source)
+        A = parse_arrangement_file(run(capsys, "family", *argv)[1])
+    code, out, _ = run(capsys, "chambers", *argv, "--emit", "json")
+    assert code == 0
+    chambers = json.loads(out)["chambers"]
+    assert len(chambers) == (48 if source == "B:3" else 10)
+    for c in chambers:
+        point = [Fraction(x) for x in c["witness"]]
+        for sign, hp in zip(c["signs"], A.hyperplanes, strict=True):
+            v = hp.value_at(point)
+            assert v > 0 if sign == "+" else v < 0
 
 
 def test_edges_geometric(capsys):
@@ -248,10 +283,10 @@ def test_chamber_guard_flag_raises_the_default(capsys, monkeypatch):
         assert code == 0, err
 
 
-def test_module_entry_point():
+def test_module_entry_point(module_env):
     proc = subprocess.run(
         [sys.executable, "-m", "varchenko", "zagier", "--n", "3"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=module_env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == zagier(3).to_json_obj()
 

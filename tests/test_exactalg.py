@@ -9,6 +9,7 @@ from varchenko.exactalg import (DEFAULT_PRIME, BadVariableNameError,
                                 Monomial, NotPrimeError, PrimeField,
                                 factored_eval, factored_specialize_all,
                                 is_prime, pair_var, single_var, validate_var)
+from varchenko.harness import trial_assignment
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -110,7 +111,7 @@ def test_canonicalize_idempotent(f):
 def test_canonicalize_preserves_eval(f, salt):
     names = set(f.variables()) | set(VARS)
     for k in range(20):
-        assignment = {n: (hash((n, salt, k)) % (F.p - 1)) + 1 for n in names}
+        assignment = trial_assignment(names, salt, k, F.p)
         assert factored_eval(f, assignment, F) == factored_eval(f.canonical(), assignment, F)
 
 
@@ -147,7 +148,7 @@ def test_eval_missing_variable_names_first_uncovered():
 @settings(max_examples=30)
 def test_eval_depends_only_on_support(f, salt):
     support = set(f.variables())
-    a1 = {n: (hash((n, salt)) % (F.p - 1)) + 1 for n in support}
+    a1 = trial_assignment(support, salt, 0, F.p)
     a2 = dict(a1)
     a2["unused_extra"] = 12345
     assert factored_eval(f, a1, F) == factored_eval(f, a2, F)

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -261,10 +264,10 @@ def test_face_scan_matches_lp_reference_on_families(sel):
 
 
 @st.composite
-def small_arrangements(draw):
-    """Integer arrangements in dimension 1-3: central, affine, or affine
-    with a parallel partner drawn for some hyperplanes."""
-    dim = draw(st.integers(1, 3))
+def small_arrangements(draw, max_dim=3):
+    """Integer arrangements in dimension 1-max_dim: central, affine, or
+    affine with a parallel partner drawn for some hyperplanes."""
+    dim = draw(st.integers(1, max_dim))
     shape = draw(st.sampled_from(["central", "affine", "parallel"]))
     coef = st.integers(-2, 2)
     normals = draw(st.lists(st.tuples(*[coef] * dim).filter(any), min_size=1, max_size=4))
@@ -287,18 +290,21 @@ def test_face_scan_matches_lp_reference_on_random_arrangements(A):
     _check_face_scan_against_reference(A)
 
 
+def _counting(calls):
+    """feasible_strict, recording in `calls` the size of each system."""
+    def counting(system, dim):
+        calls.append(len(system))
+        return feasible_strict(system, dim)
+    return counting
+
+
 @pytest.mark.parametrize("sel,limit", [("D:4", 2016), ("A:5", 900)])
 def test_face_scan_feasibility_call_budget(sel, limit, monkeypatch):
     # the all-LP scan made 12,096 (D:4) and 4,920 (A:5) calls
     A = kind(sel)
     enumerate_chambers(A)
     calls = []
-
-    def counting(system, dim):
-        calls.append(len(system))
-        return feasible_strict(system, dim)
-
-    monkeypatch.setattr(geometry, "feasible_strict", counting)
+    monkeypatch.setattr(geometry, "feasible_strict", _counting(calls))
     geometry._face_edge_table(A)
     assert len(calls) <= limit
 
@@ -317,6 +323,73 @@ def test_face_pairing_check_catches_even_count_corruption():
     table[(a, 0)] = table[(b, 0)] = frozenset({0, 1, 2})
     with pytest.raises(InternalConsistencyError):
         relevant_edges(A)
+
+
+def _enumerate_chambers_lp(A):
+    """Chamber enumeration with one feasibility test per candidate sign, on
+    Fraction rows: the reference geometry.enumerate_chambers is checked
+    against.  A region's witness decides the side it lies on for free; every
+    other candidate sign of a region costs one test.
+
+    Returns the sign vectors in enumerate_chambers order and the number of
+    feasibility tests.
+    """
+    def side(hp, s):
+        return tuple(s * a for a in hp.normal) + (-s * hp.offset,), ">"
+
+    regions = [((), (Fraction(0),) * A.dimension, [])]
+    tests = 0
+    for hp in A.hyperplanes:
+        split = []
+        for signs, witness, rows in regions:
+            v = hp.value_at(witness)
+            s = 1 if v > 0 else -1 if v < 0 else 0
+            for cand in ((s, -s) if s else (1, -1)):
+                cand_rows = rows + [side(hp, cand)]
+                if cand == s:
+                    split.append((signs + (cand,), witness, cand_rows))
+                    continue
+                tests += 1
+                w = feasible_strict(cand_rows, A.dimension)
+                if w is not None:
+                    split.append((signs + (cand,), w, cand_rows))
+        regions = split
+    signs = sorted((r[0] for r in regions), key=lambda sv: tuple(0 if s > 0 else 1 for s in sv))
+    return signs, tests
+
+
+@given(small_arrangements(max_dim=4))
+@settings(max_examples=150, deadline=None)
+def test_enumeration_matches_lp_reference_on_random_arrangements(A):
+    ref_signs, ref_tests = _enumerate_chambers_lp(A)
+    calls = []
+    with mock.patch.object(geometry, "feasible_strict", _counting(calls)):
+        chambers = enumerate_chambers(A)
+    assert [c.signs for c in chambers] == ref_signs
+    for c in chambers:
+        for s, hp in zip(c.signs, A.hyperplanes):
+            assert s * hp.value_at(c.witness) > 0
+    # Both enumerators split the same regions, and a split whose witness lies
+    # on the new hyperplane costs the reference two tests and this one none.
+    # Enumeration starts at the origin, so a first hyperplane through it is
+    # such a split.
+    if A.hyperplanes[0].offset == 0:
+        assert len(calls) < ref_tests
+    else:
+        assert len(calls) <= ref_tests
+
+
+@pytest.mark.parametrize("sel,limit", [("A:6", 2118), ("B:4", 1512)])
+def test_enumeration_feasibility_call_budget(sel, limit, monkeypatch):
+    # one test per candidate sign made 2,898 (A:6) and 1,984 (B:4) calls; a
+    # fresh instance, because the family's chambers may be cached already
+    family = kind(sel)
+    A = Arrangement(family.dimension, family.hyperplanes)
+    calls = []
+    monkeypatch.setattr(geometry, "feasible_strict", _counting(calls))
+    enumerate_chambers(A)
+    # enumeration must keep calling the traced name, or its counters go dark
+    assert 0 < len(calls) <= limit
 
 
 def test_empty_face_signal_for_affine_arrangement():

@@ -189,7 +189,7 @@ def test_det_braid3_matches_closed_form_at_random_points():
     ch = enumerate_chambers(A)
     f = formula_A(3)
     for salt in range(5):
-        assignment = {w: (hash((w, salt)) % (F.p - 1)) + 1 for w in A.weight_names()}
+        assignment = trial_assignment(A.weight_names(), 0, salt, F.p)
         M = varchenko_matrix_eval(A, ch, assignment, F)
         assert det_mod(M, F.p) == factored_eval(f, assignment, F)
 
