@@ -150,9 +150,6 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
-
 
 # Default modulus for identity testing: the Mersenne prime 2^61 - 1.
 DEFAULT_PRIME = (1 << 61) - 1
@@ -208,7 +205,7 @@ class Monomial:
         for name, e in self.powers:
             if name not in assignment:
                 raise MissingVariableError(name)
-            acc = acc * field.pow(assignment[name] % field.p, e) % field.p
+            acc = acc * pow(assignment[name] % field.p, e, field.p) % field.p
         return acc
 
     def __str__(self):

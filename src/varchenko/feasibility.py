@@ -6,15 +6,17 @@ witness when it does.  Chosen over simplex because it is the simplest method
 that is provably exact at the scales this package targets (a few dozen
 constraints, dimension below ten).
 
-A relation is a pair (form, rel) where form is a sequence of dim+1 rationals
+A relation is a pair (form, rel) where form is a sequence of dim+1 integers
 a_1, ..., a_n, c representing the affine function a.x + c, and rel is one of
-">", ">=", "=" (meaning a.x + c REL 0).
+">", ">=", "=" (meaning a.x + c REL 0).  A rational form is scaled to
+integers by the caller.  The witness is returned as (nums, den): the point
+nums / den with den >= 1 and gcd(den, *nums) == 1.
 
 Implementation notes:
-  * all elimination arithmetic is on scaled integer rows; Fractions only
-    appear during witness back-substitution.  An all-integer form is used as
-    it is (callers with hot loops pass precomputed primitive rows); a form
-    with Fractions is first scaled to primitive integers,
+  * elimination is on the integer rows as they are given (neither pivot
+    choice nor witness depends on a row's scale); witness back-substitution
+    takes integer dot products over the point's one denominator, and only
+    the bounds a round puts on its variable are Fractions,
   * equations are eliminated first by exact substitution,
   * derived rows are gcd-normalized and deduplicated; for identical
     coefficient vectors only the tightest constant is kept (this is what
@@ -26,7 +28,7 @@ Implementation notes:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 from .exactalg import InternalConsistencyError
@@ -36,42 +38,21 @@ class DimensionMismatchError(ValueError):
     """A form's length does not match the ambient dimension."""
 
 
-Relation = tuple[Sequence, str]
+Relation = tuple[Sequence[int], str]
 
 _RELS = (">", ">=", "=")
 
 
-def _primitive_ints(values: Sequence) -> list[int]:
-    """Exact rationals scaled to coprime integers: clear the denominators,
-    then divide by the gcd.  Proportional inputs differ only in sign after."""
-    den = 1
-    for v in values:
-        if isinstance(v, Fraction):
-            den = lcm(den, v.denominator)
-        elif not isinstance(v, int):
-            raise ValueError(f"exact coefficient expected, got {type(v).__name__}")
-    ints = [v.numerator * (den // v.denominator) if isinstance(v, Fraction) else v * den
-            for v in values]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def _to_int_row(form: Sequence, rel: str, dim: int):
+def _checked_row(form: Sequence[int], rel: str, dim: int):
     if len(form) != dim + 1:
         raise DimensionMismatchError(
             f"form has {len(form)} entries, expected dim+1 = {dim + 1}")
     if rel not in _RELS:
         raise ValueError(f"relation must be one of {_RELS}, got {rel!r}")
-    if all(type(v) is int for v in form):
-        # integer rows go in as they are: every derived row is normalized,
-        # and neither pivot choice nor witness depends on a row's scale
-        return tuple(form[:-1]), form[-1]
-    ints = _primitive_ints(form)
-    return tuple(ints[:-1]), ints[-1]
+    for v in form:
+        if type(v) is not int:
+            raise ValueError(f"integer coefficient expected, got {type(v).__name__}")
+    return tuple(form[:-1]), form[-1]
 
 
 def _normalize(coefs: tuple, const: int):
@@ -85,12 +66,18 @@ def _normalize(coefs: tuple, const: int):
     return coefs, const
 
 
-def _value(coefs, const, point):
-    acc = Fraction(const)
-    for a, x in zip(coefs, point):
-        if a:
-            acc += a * x
-    return acc
+def _scaled(coefs: tuple, const: int, nums: list[int], den: int) -> int:
+    """den times the value of the row (coefs, const) at the point nums / den."""
+    return sum(a * x for a, x in zip(coefs, nums)) + const * den
+
+
+def _assign(nums: list[int], den: int, var: int, x: Fraction):
+    """The point nums / den, in lowest terms and with x_var 0, with den * x_var
+    set to x.  The result is in lowest terms too: a prime dividing it all
+    cannot divide x's denominator, so it divides den and every old numerator."""
+    nums = [v * x.denominator for v in nums]
+    nums[var] = x.numerator
+    return nums, den * x.denominator
 
 
 class _Infeasible(Exception):
@@ -110,17 +97,19 @@ def _add_row(rows: dict, coefs: tuple, const: int, strict: bool):
         rows[coefs] = (const, strict)
 
 
-def feasible_strict(system: list[Relation], dim: int) -> Optional[tuple[Fraction, ...]]:
-    """Decide the system exactly; return a rational witness point or None.
+def feasible_strict(system: list[Relation],
+                    dim: int) -> Optional[tuple[tuple[int, ...], int]]:
+    """Decide the system of integer forms exactly; return a witness point as
+    (nums, den), den >= 1 and gcd(den, *nums) == 1, or None.
 
-    The witness strictly satisfies every ">" relation, weakly every ">=",
-    and exactly every "=".
+    The witness nums / den strictly satisfies every ">" relation, weakly
+    every ">=", and exactly every "=".
     """
     eqs = []           # (coefs, const)
     ineqs: dict = {}   # coefs -> (const, strict)
     try:
         for form, rel in system:
-            coefs, const = _to_int_row(form, rel, dim)
+            coefs, const = _checked_row(form, rel, dim)
             if rel == "=":
                 if any(coefs):
                     eqs.append((coefs, const))
@@ -204,44 +193,31 @@ def feasible_strict(system: list[Relation], dim: int) -> Optional[tuple[Fraction
         return None
 
     # Feasible.  Reconstruct a witness: free variables get 0, then walk the
-    # Fourier-Motzkin rounds and the equation substitutions in reverse.
-    point = [Fraction(0)] * dim
+    # Fourier-Motzkin rounds and the equation substitutions in reverse.  Each
+    # variable is eliminated once, so x_var is still 0 when its turn comes,
+    # and a row bounds den * x_var by -_scaled(row) / a_var.
+    nums, den = [0] * dim, 1
     for var, pos, neg in reversed(rounds):
-        lo = up = None
-        lo_strict = up_strict = False
-        for coefs, const, strict in pos:
-            a = coefs[var]
-            bound = -(_value(coefs, const, point) - a * point[var]) / a
-            if lo is None or bound > lo:
-                lo, lo_strict = bound, strict
-            elif bound == lo:
-                lo_strict = lo_strict or strict
-        for coefs, const, strict in neg:
-            a = coefs[var]
-            bound = -(_value(coefs, const, point) - a * point[var]) / a
-            if up is None or bound < up:
-                up, up_strict = bound, strict
-            elif bound == up:
-                up_strict = up_strict or strict
-        if lo is not None and up is not None:
-            if lo < up:
-                point[var] = (lo + up) / 2
-            else:
+        lo = [(Fraction(-_scaled(c, k, nums, den), c[var]), s) for c, k, s in pos]
+        up = [(Fraction(-_scaled(c, k, nums, den), c[var]), s) for c, k, s in neg]
+        if lo and up:
+            low, high = max(lo)[0], min(up)[0]
+            if low < high:
+                x = (low + high) / 2
+            elif low == high and not any(s for b, s in lo + up if b == low):
                 # equal bounds can only be weak-weak, else the combined row
                 # would have been strict and infeasible at this point
-                if lo != up or lo_strict or up_strict:
-                    raise InternalConsistencyError(
-                        f"empty range [{lo}, {up}] (strict: {lo_strict}, {up_strict}) "
-                        f"for variable {var} in witness back-substitution")
-                point[var] = lo
-        elif lo is not None:
-            point[var] = lo + 1
-        elif up is not None:
-            point[var] = up - 1
+                x = low
+            else:
+                raise InternalConsistencyError(
+                    f"empty range [{low / den}, {high / den}] for variable {var} "
+                    f"in witness back-substitution")
+        elif lo:
+            x = max(lo)[0] + den
+        else:
+            x = min(up)[0] - den
+        nums, den = _assign(nums, den, var, x)
     for var, coefs, const in reversed(substitutions):
-        acc = Fraction(const)
-        for i, a in enumerate(coefs):
-            if a and i != var:
-                acc += a * point[i]
-        point[var] = -acc / coefs[var]
-    return tuple(point)
+        x = Fraction(-_scaled(coefs, const, nums, den), coefs[var])
+        nums, den = _assign(nums, den, var, x)
+    return tuple(nums), den

@@ -4,8 +4,8 @@ The engine is fully exact and works for any arrangement with rational
 coefficients, central or not.  Each hyperplane enters the hot loops as its
 primitive integer row (normal, -offset), computed once per arrangement;
 points are integer numerators over one common denominator, so a sign test is
-one integer dot product.  Fractions remain only in witnesses: those
-feasible_strict returns and those handed out here.
+one integer dot product, and feasible_strict takes and returns that format.
+Fractions remain only in the witnesses handed out here.
 The pipeline:
 
   enumerate_chambers   incremental insertion; a region's witness decides one
@@ -43,7 +43,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .exactalg import (FactoredProduct, InternalConsistencyError, Monomial,
                        validate_var)
-from .feasibility import _primitive_ints, feasible_strict
+from .feasibility import feasible_strict
 
 DEFAULT_MAX_HYPERPLANES = 32
 DEFAULT_MAX_CHAMBERS = 6000
@@ -78,6 +78,25 @@ class EmptyFaceError(GeometryError):
 
 class EmptyIntersectionError(GeometryError):
     """The requested hyperplanes have empty common intersection."""
+
+
+def _primitive_ints(values: Sequence) -> list[int]:
+    """Exact rationals scaled to coprime integers: clear the denominators,
+    then divide by the gcd.  Proportional inputs differ only in sign after."""
+    den = 1
+    for v in values:
+        if isinstance(v, Fraction):
+            den = lcm(den, v.denominator)
+        elif not isinstance(v, int):
+            raise ValueError(f"exact coefficient expected, got {type(v).__name__}")
+    ints = [v.numerator * (den // v.denominator) if isinstance(v, Fraction) else v * den
+            for v in values]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return ints
 
 
 def _as_fraction(x) -> Fraction:
@@ -203,14 +222,6 @@ def _int_rows(A: Arrangement) -> tuple:
     return rows
 
 
-def _homogeneous(point: Sequence) -> tuple[tuple[int, ...], int]:
-    """A rational point as integer numerators over one positive denominator."""
-    den = 1
-    for x in point:
-        den = lcm(den, x.denominator)
-    return tuple(x.numerator * (den // x.denominator) for x in point), den
-
-
 def _at(row: Sequence[int], nums: Sequence[int], den: int) -> int:
     """den times the value of the integer row at the point nums / den."""
     return sum(a * x for a, x in zip(row, nums)) + row[-1] * den
@@ -262,7 +273,7 @@ def enumerate_chambers(A: Arrangement,
                 far = rows + [(down if side > 0 else up, ">")]
                 w = feasible_strict(far, dim)
                 if w is not None:
-                    new_regions.append((signs + (-side,), *_homogeneous(w), far))
+                    new_regions.append((signs + (-side,), *w, far))
                 continue
             # w lies on H: t = q / (2 den), q the smallest den K(w) / |n_K . n_H|
             q = None
@@ -420,7 +431,7 @@ def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> Face:
         base = feasible_strict([eq] + weak, dim)
         if base is None:
             raise EmptyFaceError(f"chamber {ci} closure does not meet hyperplane {h}")
-        nums, den = _homogeneous(base)
+        nums, den = base
 
     basis: list[tuple[int, list[int]]] = []
     _extend_basis(basis, eq_h, dim)
@@ -443,7 +454,7 @@ def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> Face:
             _extend_basis(basis, row, dim)
         else:
             k += 1
-            wn, wd = _homogeneous(wi)
+            wn, wd = wi
             nums = tuple(x * wd + y * den for x, y in zip(nums, wn))
             den *= wd
     return Face(ci, h, frozenset(zeros), tuple(Fraction(x, den * k) for x in nums))

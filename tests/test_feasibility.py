@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,12 @@ from varchenko.feasibility import DimensionMismatchError, feasible_strict
 
 
 def check_witness(system, dim, witness):
-    assert witness is not None and len(witness) == dim
+    """witness is (nums, den), the point nums / den in lowest terms."""
+    assert witness is not None
+    nums, den = witness
+    assert len(nums) == dim and den >= 1 and gcd(den, *nums) == 1
     for form, rel in system:
-        value = sum(Fraction(a) * x for a, x in zip(form, witness)) + Fraction(form[-1])
+        value = sum(a * Fraction(x, den) for a, x in zip(form, nums)) + form[-1]
         if rel == ">":
             assert value > 0
         elif rel == ">=":
@@ -33,13 +37,14 @@ def test_braid_all_plus_chamber_feasible():
     system = [((1, -1, 0, 0), ">"), ((1, 0, -1, 0), ">"), ((0, 1, -1, 0), ">")]
     w = feasible_strict(system, 3)
     check_witness(system, 3, w)
-    assert w[0] > w[1] > w[2]
+    nums, _ = w
+    assert nums[0] > nums[1] > nums[2]
 
 
 def test_weak_boundary_point():
     system = [((1, 0), ">="), ((-1, 0), ">=")]
     w = feasible_strict(system, 1)
-    assert w == (Fraction(0),)
+    assert w == ((0,), 1)
 
 
 def test_strict_against_weak_infeasible():
@@ -49,7 +54,7 @@ def test_strict_against_weak_infeasible():
 def test_equalities_substitute():
     system = [((1, 0, -1), "="), ((0, 1, -2), "="), ((1, 1, -3), ">=")]
     w = feasible_strict(system, 2)
-    assert w == (Fraction(1), Fraction(2))
+    assert w == ((1, 2), 1)
 
 
 def test_equality_conflict():
@@ -60,10 +65,28 @@ def test_equality_with_strict_violation():
     assert feasible_strict([((1, -1), "="), ((-1, 0), ">")], 1) is None
 
 
-def test_rational_coefficients():
-    system = [((Fraction(1, 3), Fraction(-1, 2)), ">")]
-    w = feasible_strict(system, 1)
-    check_witness(system, 1, w)
+@pytest.mark.parametrize("system,witness", [
+    # 0 < x < 1 and 0 < 3y < x: the midpoints x = 1/2, y = 1/12
+    ([((1, 0, 0), ">"), ((-1, 0, 1), ">"), ((0, 1, 0), ">"), ((1, -3, 0), ">")],
+     ((6, 1), 12)),
+    # x > y with x otherwise free, 0 < y < 1: y = 1/2, x = y + 1
+    ([((1, -1, 0), ">"), ((0, 1, 0), ">"), ((0, -1, 1), ">")], ((3, 1), 2)),
+    # x < y with x otherwise free, 0 < y < 1: y = 1/2, x = y - 1
+    ([((-1, 1, 0), ">"), ((0, 1, 0), ">"), ((0, -1, 1), ">")], ((-1, 1), 2)),
+])
+def test_witness_over_common_denominator(system, witness):
+    # the midpoint of two bounds, lower bound + 1, upper bound - 1
+    w = feasible_strict(system, 2)
+    check_witness(system, 2, w)
+    assert w == witness
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 0.5, 1.0, True, False])
+def test_non_integer_coefficients_rejected(entry):
+    with pytest.raises(ValueError):
+        feasible_strict([((entry, 1), ">")], 1)
+    with pytest.raises(ValueError):
+        feasible_strict([((1, entry), ">=")], 1)
 
 
 def test_unbounded_direction():
@@ -106,7 +129,7 @@ def test_systems_built_around_a_point_are_feasible(center, raw, data):
         coefs = (coefs + [0] * dim)[:dim]
         value = sum(Fraction(a) * x for a, x in zip(coefs, center))
         if rel == "=":
-            form = tuple(coefs) + (-value,)
+            form = tuple(a * value.denominator for a in coefs) + (-value.numerator,)
         elif value == 0:
             form = tuple(coefs) + (0,)
             rel = ">="

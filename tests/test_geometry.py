@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -218,6 +219,13 @@ def test_face_witness_exactly_realizes_zeros():
                 assert e.containing == f.zeros
 
 
+def _cleared(values):
+    """Rationals times the lcm of their denominators: an integer form for
+    feasible_strict, scaled independently of the geometry's primitive rows."""
+    den = lcm(*(Fraction(v).denominator for v in values))
+    return tuple(int(v * den) for v in values)
+
+
 def _face_of_lp(A, chamber, h):
     """The face scan by feasibility tests alone: the reference that
     geometry.face_of and its shortcuts are checked against.
@@ -229,10 +237,10 @@ def _face_of_lp(A, chamber, h):
     def side(i, rel):
         hp = A.hyperplanes[i]
         s = chamber.signs[i]
-        return tuple(s * a for a in hp.normal) + (-s * hp.offset,), rel
+        return _cleared(tuple(s * a for a in hp.normal) + (-s * hp.offset,)), rel
 
     hp = A.hyperplanes[h]
-    eq = (hp.normal + (-hp.offset,), "=")
+    eq = (_cleared(hp.normal + (-hp.offset,)), "=")
     weak = [side(i, ">=") for i in range(len(A.hyperplanes)) if i != h]
     if feasible_strict([eq] + weak, A.dimension) is None:
         return None
@@ -327,7 +335,8 @@ def test_face_pairing_check_catches_even_count_corruption():
 
 def _enumerate_chambers_lp(A):
     """Chamber enumeration with one feasibility test per candidate sign, on
-    Fraction rows: the reference geometry.enumerate_chambers is checked
+    rows built from each hyperplane's normal and offset and Fraction
+    witnesses: the reference geometry.enumerate_chambers is checked
     against.  A region's witness decides the side it lies on for free; every
     other candidate sign of a region costs one test.
 
@@ -335,7 +344,7 @@ def _enumerate_chambers_lp(A):
     feasibility tests.
     """
     def side(hp, s):
-        return tuple(s * a for a in hp.normal) + (-s * hp.offset,), ">"
+        return _cleared(tuple(s * a for a in hp.normal) + (-s * hp.offset,)), ">"
 
     regions = [((), (Fraction(0),) * A.dimension, [])]
     tests = 0
@@ -352,7 +361,9 @@ def _enumerate_chambers_lp(A):
                 tests += 1
                 w = feasible_strict(cand_rows, A.dimension)
                 if w is not None:
-                    split.append((signs + (cand,), w, cand_rows))
+                    nums, den = w
+                    split.append((signs + (cand,), tuple(Fraction(x, den) for x in nums),
+                                  cand_rows))
         regions = split
     signs = sorted((r[0] for r in regions), key=lambda sv: tuple(0 if s > 0 else 1 for s in sv))
     return signs, tests
