@@ -16,7 +16,7 @@ from .geometry import (Arrangement, Chamber, Edge, Face, Hyperplane,
                        factored_determinant_general, multiplicity,
                        relevant_edges)
 from .harness import (SOURCES, DetSource, FactoredDiff, VerificationReport,
-                      bruteforce_source, compare_factored, factored_source,
+                      bruteforce_source, compare_factored,
                       parse_arrangement_file, source, verify_identity)
 from .matrix import degree_bound, det_mod, varchenko_matrix_eval
 

@@ -4,7 +4,7 @@ printed_edges(kind) is the published factorization of A(n), B(n) or D(n) as
 a table: one row per factor, each with the edge it belongs to, the weight
 monomial of that edge and the printed exponent.  Every printed exponent rule
 is written once, there.  formula(kind) turns the table (or, for I2(m), its
-two-line closed form) into a canonical FactoredProduct, and
+two-line closed form) into a FactoredProduct, and
 formula_A/B/D/I2(n) are its per-family shorthands; none of them consults the
 geometric engine.  Where a printed formula is wrong (the D family is the
 documented suspect), the output is wrong in the same way; the verification
@@ -121,7 +121,7 @@ def formula(kind: FamilyKind) -> FactoredProduct:
         factors.extend((Monomial.from_vars([single_var(j)]), 2) for j in range(1, m + 1))
     else:
         factors = [(e.monomial, e.exponent) for e in printed_edges(kind)]
-    return FactoredProduct(tuple(factors)).canonical()
+    return FactoredProduct(tuple(factors))
 
 
 def formula_A(n: int) -> FactoredProduct:
@@ -162,7 +162,7 @@ def zagier(n: int) -> FactoredProduct:
         if rem:
             raise InternalConsistencyError(f"non-integral exponent at i={i}, n={n}")
         factors.append((Monomial((("q", half_degree),)), exponent))
-    return FactoredProduct(tuple(factors)).canonical()
+    return FactoredProduct(tuple(factors))
 
 
 __all__ = ["PrintedEdge", "formula", "formula_A", "formula_B", "formula_D",

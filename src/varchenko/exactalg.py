@@ -160,6 +160,15 @@ DEFAULT_PRIME = (1 << 61) - 1
 # ---------------------------------------------------------------------------
 
 
+def _exponent(e, what: str) -> int:
+    """e itself if it is a nonnegative int; a bool, float or str is refused."""
+    if isinstance(e, bool) or not isinstance(e, int):
+        raise ExactAlgError(f"{what} must be an int, got {type(e).__name__}")
+    if e < 0:
+        raise ExactAlgError(f"negative {what}")
+    return e
+
+
 @dataclass(frozen=True)
 class Monomial:
     """A product of weight variables with positive integer exponents.
@@ -174,9 +183,7 @@ class Monomial:
     def from_dict(exps: Mapping[str, int]) -> "Monomial":
         items = []
         for name, e in exps.items():
-            if e < 0:
-                raise ExactAlgError(f"negative exponent for {name!r}")
-            if e > 0:
+            if _exponent(e, f"exponent for {name!r}"):
                 items.append((validate_var(name), e))
         return Monomial(tuple(sorted(items)))
 
@@ -187,10 +194,6 @@ class Monomial:
         for name in names:
             exps[name] = exps.get(name, 0) + 1
         return Monomial.from_dict(exps)
-
-    @staticmethod
-    def one() -> "Monomial":
-        return Monomial(())
 
     @property
     def degree(self) -> int:
@@ -232,24 +235,22 @@ def _mono_sort_key(m: Monomial):
 class FactoredProduct:
     """A formal product prod_i (1 - m_i^2)^{e_i} over monomials m_i.
 
-    Canonical form has pairwise distinct monomials, strictly positive
-    exponents, and factors sorted by (total degree, variable order).  Since
-    each factor 1 - m^2 is determined by its monomial, two canonical products
-    are equal as polynomials iff their factor lists are identical.
+    The constructor stores the canonical form: factors with equal monomials
+    merged, zero exponents dropped, and the rest sorted by (total degree,
+    variable order).  An exponent must be a nonnegative int.  Since each
+    factor 1 - m^2 is determined by its monomial, two products are equal as
+    polynomials iff they compare equal, and equal products hash equal.
     """
 
     factors: tuple[tuple[Monomial, int], ...] = ()
 
-    def canonical(self) -> "FactoredProduct":
+    def __post_init__(self):
         merged: dict[Monomial, int] = {}
         for mono, e in self.factors:
-            if e < 0:
-                raise ExactAlgError("negative factor exponent")
-            if e:
+            if _exponent(e, "factor exponent"):
                 merged[mono] = merged.get(mono, 0) + e
-        items = sorted(((m, e) for m, e in merged.items() if e),
-                       key=lambda it: _mono_sort_key(it[0]))
-        return FactoredProduct(tuple(items))
+        object.__setattr__(self, "factors", tuple(
+            sorted(merged.items(), key=lambda it: _mono_sort_key(it[0]))))
 
     def variables(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
@@ -272,8 +273,8 @@ class FactoredProduct:
         factors = []
         for f in obj["factors"]:
             mono = Monomial.from_dict({name: exp for name, exp in f["monomial"]})
-            factors.append((mono, int(f["exponent"])))
-        return FactoredProduct(tuple(factors)).canonical()
+            factors.append((mono, f["exponent"]))
+        return FactoredProduct(tuple(factors))
 
 
 def factored_eval(f: FactoredProduct, assignment: Mapping[str, int],
@@ -297,6 +298,6 @@ def factored_specialize_all(f: FactoredProduct, varname: str) -> FactoredProduct
     factors = []
     for mono, e in f.factors:
         d = mono.degree
-        new = Monomial.one() if d == 0 else Monomial(((varname, d),))
+        new = Monomial() if d == 0 else Monomial(((varname, d),))
         factors.append((new, e))
-    return FactoredProduct(tuple(factors)).canonical()
+    return FactoredProduct(tuple(factors))

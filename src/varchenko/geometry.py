@@ -2,9 +2,11 @@
 
 The engine is fully exact and works for any arrangement with rational
 coefficients, central or not.  Each hyperplane enters the hot loops as its
-primitive integer row (normal, -offset), computed once per arrangement;
-points are integer numerators over one common denominator, so a sign test is
-one integer dot product, and feasible_strict takes and returns that format.
+primitive integer row (normal, -offset), which the Arrangement constructor
+computes once (Arrangement.rows) and also uses for its duplicate check and
+its centrality flag (Arrangement.central).  Points are integer numerators
+over one common denominator, so a sign test is one integer dot product, and
+feasible_strict takes and returns that format.
 Fractions remain only in the witnesses handed out here.
 The pipeline:
 
@@ -102,7 +104,7 @@ def _primitive_ints(values: Sequence) -> list[int]:
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise GeometryError(f"exact rational expected, got {type(x).__name__}")
 
@@ -122,38 +124,34 @@ class Hyperplane:
             raise GeometryError(f"hyperplane {weight!r} has zero normal")
         return Hyperplane(nv, _as_fraction(offset), validate_var(weight))
 
-    def primitive_key(self) -> tuple[int, ...]:
-        """Scaled integer form of (normal, offset), unique per affine set.
-
-        Proportional (normal, offset) pairs map to the same key: clear
-        denominators, divide by the gcd, make the first nonzero entry positive.
-        """
-        ints = _primitive_ints((*self.normal, self.offset))
-        for v in ints:
-            if v:
-                if v < 0:
-                    ints = [-u for u in ints]
-                break
-        return tuple(ints)
-
     def value_at(self, point: Sequence[Fraction]) -> Fraction:
         return sum((a * x for a, x in zip(self.normal, point)), Fraction(0)) - self.offset
 
 
 class Arrangement:
-    """A finite list of pairwise distinct weighted hyperplanes in Q^dimension."""
+    """A finite list of pairwise distinct weighted hyperplanes in Q^dimension.
+
+    rows[i] holds the primitive integer rows of H_i > 0 and H_i < 0:
+    (normal, -offset) cleared of denominators, and its negation; rows[i][s < 0]
+    is the row of side s.  Proportional hyperplanes have the same rows up to
+    sign, so the larger of the two is the key of the duplicate check.
+    central is true iff every hyperplane passes through the origin.
+    """
 
     def __init__(self, dimension: int, hyperplanes: Sequence[Hyperplane]):
         if dimension < 1:
             raise GeometryError("dimension must be positive")
         hyps = tuple(hyperplanes)
+        rows = []
         keys: dict[tuple, int] = {}
         weights: dict[str, int] = {}
         for idx, h in enumerate(hyps):
             if len(h.normal) != dimension:
                 raise GeometryError(
                     f"hyperplane {idx} has {len(h.normal)} coefficients, expected {dimension}")
-            k = h.primitive_key()
+            row = tuple(_primitive_ints(h.normal + (-h.offset,)))
+            neg = tuple(-v for v in row)
+            k = max(row, neg)
             if k in keys:
                 raise DuplicateHyperplaneError(idx, keys[k], "affine set")
             if h.weight in weights:
@@ -161,8 +159,11 @@ class Arrangement:
                     idx, weights[h.weight], f"weight {h.weight!r}")
             keys[k] = idx
             weights[h.weight] = idx
+            rows.append((row, neg))
         self.dimension = dimension
         self.hyperplanes = hyps
+        self.rows = tuple(rows)
+        self.central = all(row[-1] == 0 for row, _ in rows)
         self._cache: dict = {}
 
     def __repr__(self):
@@ -204,22 +205,8 @@ class Edge:
 
 
 # ---------------------------------------------------------------------------
-# integer rows and points
+# integer points
 # ---------------------------------------------------------------------------
-
-
-def _int_rows(A: Arrangement) -> tuple:
-    """Per hyperplane i, the primitive integer rows of H_i > 0 and H_i < 0:
-    (normal, -offset) cleared of denominators and its negation.  Computed
-    once per arrangement; rows[i][s < 0] is the row of side s."""
-    rows = A._cache.get("int_rows")
-    if rows is None:
-        rows = []
-        for hp in A.hyperplanes:
-            row = tuple(_primitive_ints(hp.normal + (-hp.offset,)))
-            rows.append((row, tuple(-v for v in row)))
-        rows = A._cache["int_rows"] = tuple(rows)
-    return rows
 
 
 def _at(row: Sequence[int], nums: Sequence[int], den: int) -> int:
@@ -261,7 +248,7 @@ def enumerate_chambers(A: Arrangement,
     dim = A.dimension
     # region: (signs, witness numerators, witness denominator, strict rows so far)
     regions = [((), (0,) * dim, 1, [])]
-    for up, down in _int_rows(A):
+    for up, down in A.rows:
         normal = up[:-1]
         new_regions = []
         for signs, nums, den, rows in regions:
@@ -362,13 +349,12 @@ def canonical_edge(A: Arrangement, subset: Iterable[int]) -> Edge:
         if not (0 <= i < len(A.hyperplanes)):
             raise GeometryError(f"hyperplane index {i} out of range")
     n = A.dimension
-    rows = _int_rows(A)
     basis: list[tuple[int, list[int]]] = []
     for i in sorted(idxs):
-        row = _reduce_row(rows[i][0], basis)
+        row = _reduce_row(A.rows[i][0], basis)
         if not _extend_basis(basis, row, n) and row[n]:
             raise EmptyIntersectionError(f"hyperplanes {sorted(idxs)} do not meet")
-    containing = frozenset(i for i, (row, _) in enumerate(rows)
+    containing = frozenset(i for i, (row, _) in enumerate(A.rows)
                            if i in idxs or not any(_reduce_row(row, basis)))
     mono = Monomial.from_vars(A.hyperplanes[i].weight for i in sorted(containing))
     return Edge(containing, n - len(basis), mono, 0)
@@ -377,10 +363,6 @@ def canonical_edge(A: Arrangement, subset: Iterable[int]) -> Edge:
 # ---------------------------------------------------------------------------
 # faces
 # ---------------------------------------------------------------------------
-
-
-def _is_central(A: Arrangement) -> bool:
-    return all(hp.offset == 0 for hp in A.hyperplanes)
 
 
 def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> Face:
@@ -408,7 +390,7 @@ def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> Face:
         raise GeometryError(f"hyperplane index {h} out of range")
     signs = A._cache["chambers"][ci].signs  # enumerated by chamber_index
     dim = A.dimension
-    rows = _int_rows(A)
+    rows = A.rows
     eq_h = rows[h][0]
 
     flipped = signs[:h] + (-signs[h],) + signs[h + 1:]
@@ -425,7 +407,7 @@ def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> Face:
 
     eq = (eq_h, "=")
     weak = [(rows[i][s < 0], ">=") for i, s in enumerate(signs) if i != h]
-    if _is_central(A):
+    if A.central:
         nums, den = (0,) * dim, 1
     else:
         base = feasible_strict([eq] + weak, dim)
@@ -472,10 +454,9 @@ def _face_edge_table(A: Arrangement) -> dict:
         return table
     chambers = enumerate_chambers(A)
     index = A._cache["chamber_index"]
-    central = _is_central(A)
     table = {}
     for ci, C in enumerate(chambers):
-        anti = index[tuple(-s for s in C.signs)] if central else ci
+        anti = index[tuple(-s for s in C.signs)] if A.central else ci
         for h in range(len(A.hyperplanes)):
             if anti < ci:
                 table[(ci, h)] = table[(anti, h)]
@@ -549,10 +530,10 @@ def relevant_edges(A: Arrangement) -> list[Edge]:
 
 
 def factored_determinant_general(A: Arrangement) -> FactoredProduct:
-    """Canonical factored determinant prod_E (1 - a(E)^2)^{l(E)} over the
-    relevant edges with their geometric multiplicities."""
-    factors = tuple((e.weight_monomial, e.multiplicity) for e in relevant_edges(A))
-    return FactoredProduct(factors).canonical()
+    """Factored determinant prod_E (1 - a(E)^2)^{l(E)} over the relevant
+    edges with their geometric multiplicities."""
+    return FactoredProduct(tuple((e.weight_monomial, e.multiplicity)
+                                 for e in relevant_edges(A)))
 
 
 __all__ = [

@@ -4,8 +4,9 @@ Two representations of a determinant are compared by evaluating both at
 random points of a large prime field (Schwartz-Zippel): a disagreement at any
 point falsifies the identity outright, while agreement at k independent
 points bounds the probability of a false PASS by (degree bound / p)^k.  When
-both sides are factored products the canonical forms are also diffed exactly,
-which is a complete equality check on its own.
+both sides are factored products their factor lists, canonical by
+construction, are also diffed exactly, which is a complete equality check on
+its own.
 
 Randomness is a hand-rolled splitmix64 generator, not the stdlib Mersenne
 Twister, so that reports are reproducible byte for byte across Python
@@ -113,10 +114,6 @@ class DetSource:
         return det_mod(rows, field.p)
 
 
-def factored_source(label: str, f: FactoredProduct) -> DetSource:
-    return DetSource(label, factored=f.canonical())
-
-
 def bruteforce_source(A: Arrangement) -> DetSource:
     return DetSource("bruteforce", arrangement=A)
 
@@ -131,9 +128,9 @@ def source(name: str, A: Arrangement, kind: Optional[FamilyKind] = None) -> DetS
     if name == "formula":
         if kind is None:
             raise ValueError("the formula source needs a family kind")
-        return factored_source(name, formula(kind))
+        return DetSource(name, factored=formula(kind))
     if name == "geometric":
-        return factored_source(name, factored_determinant_general(A))
+        return DetSource(name, factored=factored_determinant_general(A))
     if name == "bruteforce":
         return bruteforce_source(A)
     raise ValueError(f"unknown source {name!r} (expected one of {', '.join(SOURCES)})")
@@ -146,8 +143,8 @@ def source(name: str, A: Arrangement, kind: Optional[FamilyKind] = None) -> DetS
 
 @dataclass(frozen=True)
 class FactoredDiff:
-    """Exponent disagreements between two canonical factored products.
-    Empty iff the canonical forms are identical."""
+    """Exponent disagreements between two factored products.
+    Empty iff the products are equal."""
 
     entries: tuple[tuple[Monomial, int, int], ...]
 
@@ -159,10 +156,10 @@ class FactoredDiff:
 
 
 def compare_factored(lhs: FactoredProduct, rhs: FactoredProduct) -> FactoredDiff:
-    """Canonicalize both sides and report every monomial whose exponents
-    differ (a missing factor counts as exponent 0)."""
-    le = dict(lhs.canonical().factors)
-    re_ = dict(rhs.canonical().factors)
+    """Every monomial whose exponents differ between the two products, which
+    are canonical by construction (a missing factor counts as exponent 0)."""
+    le = dict(lhs.factors)
+    re_ = dict(rhs.factors)
     entries = []
     for mono in sorted(set(le) | set(re_), key=_mono_sort_key):
         a, b = le.get(mono, 0), re_.get(mono, 0)
@@ -363,6 +360,6 @@ __all__ = [
     "DEFAULT_SEED", "DEFAULT_TRIALS", "DetSource", "FactoredDiff",
     "ParseError", "SOURCES", "SplitMix64", "Trial", "VerificationReport",
     "bruteforce_source", "compare_factored", "draw_nonzero",
-    "factored_source", "parse_arrangement_file", "source",
-    "trial_assignment", "trial_stream", "verify_identity",
+    "parse_arrangement_file", "source", "trial_assignment", "trial_stream",
+    "verify_identity",
 ]

@@ -23,8 +23,8 @@ from varchenko.exactalg import Monomial, factored_specialize_all
 from varchenko.families import FamilyKind, build_family, chambers_combinatorial
 from varchenko.geometry import (canonical_edge, enumerate_chambers, face_of,
                                 factored_determinant_general, multiplicity)
-from varchenko.harness import (bruteforce_source, compare_factored,
-                               factored_source, verify_identity)
+from varchenko.harness import (DetSource, bruteforce_source, compare_factored,
+                               verify_identity)
 
 PRIME = (1 << 61) - 1
 TRIALS = 5
@@ -43,14 +43,14 @@ def kind(sel: str):
 def geometric_vs_bruteforce(sel: str, trials=TRIALS):
     A = kind(sel)
     return verify_identity(
-        factored_source("geometric", factored_determinant_general(A)),
+        DetSource("geometric", factored=factored_determinant_general(A)),
         bruteforce_source(A), trials=trials, prime=PRIME, seed=SEED, subject=sel)
 
 
 def formula_vs_bruteforce(sel: str, trials=TRIALS, prime=PRIME, seed=SEED):
     k = FamilyKind.parse(sel)
     return verify_identity(
-        factored_source("formula", formula(k)), bruteforce_source(build_family(k)),
+        DetSource("formula", factored=formula(k)), bruteforce_source(build_family(k)),
         trials=trials, prime=prime, seed=seed, subject=sel)
 
 
@@ -219,7 +219,7 @@ def test_criterion_8_counting_reproductions():
 def test_criterion_9_deterministic_reports(module_env):
     in_process = [
         verify_identity(
-            factored_source("formula", formula_I2(6)),
+            DetSource("formula", factored=formula_I2(6)),
             bruteforce_source(kind("I2:6")),
             trials=TRIALS, prime=PRIME, seed=42, subject="I2:6").to_json()
         for _ in range(2)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varchenko.exactalg import (DEFAULT_PRIME, BadVariableNameError,
-                                FactoredProduct, MissingVariableError,
+                                ExactAlgError, FactoredProduct, MissingVariableError,
                                 Monomial, NotPrimeError, PrimeField,
                                 factored_eval, factored_specialize_all,
                                 is_prime, pair_var, single_var, validate_var)
@@ -22,9 +22,8 @@ def mono(*names):
 
 monomials = st.dictionaries(st.sampled_from(VARS), st.integers(1, 4), max_size=4).map(
     Monomial.from_dict)
-factored_products = st.lists(
-    st.tuples(monomials, st.integers(0, 5)), max_size=5).map(
-    lambda fs: FactoredProduct(tuple(fs)))
+factor_lists = st.lists(st.tuples(monomials, st.integers(0, 5)), max_size=5)
+factored_products = factor_lists.map(lambda fs: FactoredProduct(tuple(fs)))
 
 
 # ---------------------------------------------------------------------------
@@ -87,32 +86,67 @@ def test_fraction_canonical_form():
 
 def test_canonicalize_merges_equal_monomials():
     f = FactoredProduct(((mono("q_{1,2}"), 1), (mono("q_{1,2}"), 1)))
-    assert f.canonical().factors == ((mono("q_{1,2}"), 2),)
+    assert f.factors == ((mono("q_{1,2}"), 2),)
 
 
 def test_canonicalize_sorts():
     f = FactoredProduct(((mono("q_{1,3}"), 2), (mono("q_{1,2}"), 2)))
-    assert f.canonical().factors == ((mono("q_{1,2}"), 2), (mono("q_{1,3}"), 2))
+    assert f.factors == ((mono("q_{1,2}"), 2), (mono("q_{1,3}"), 2))
 
 
 def test_canonicalize_drops_zero_exponents():
     f = FactoredProduct(((mono("q_{1,2}"), 0),))
-    assert f.canonical().factors == ()
+    assert f.factors == ()
 
 
 @given(factored_products)
 def test_canonicalize_idempotent(f):
-    once = f.canonical()
-    assert once.canonical() == once
+    again = FactoredProduct(f.factors)
+    assert again == f and again.factors == f.factors
 
 
-@given(factored_products, st.integers(0, 10**6))
+@given(factor_lists, st.data())
+def test_reordered_or_split_factor_lists_build_equal_products(fs, data):
+    split = []
+    for m, e in fs:
+        k = data.draw(st.integers(0, e))
+        split += [(m, k), (m, e - k)]
+    g = FactoredProduct(tuple(data.draw(st.permutations(split))))
+    f = FactoredProduct(tuple(fs))
+    assert f == g and hash(f) == hash(g)
+
+
+@given(factor_lists, st.integers(0, 10**6))
 @settings(max_examples=30)
-def test_canonicalize_preserves_eval(f, salt):
-    names = set(f.variables()) | set(VARS)
+def test_canonicalize_preserves_eval(fs, salt):
+    f = FactoredProduct(tuple(fs))
+    names = {name for m, _ in fs for name in m.variables()} | set(VARS)
     for k in range(20):
         assignment = trial_assignment(names, salt, k, F.p)
-        assert factored_eval(f, assignment, F) == factored_eval(f.canonical(), assignment, F)
+        raw = 1
+        for m, e in fs:
+            v = m.eval(assignment, F)
+            raw = raw * pow(1 - v * v, e, F.p) % F.p
+        assert factored_eval(f, assignment, F) == raw
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "3", True, -1])
+def test_factor_exponent_must_be_nonnegative_int(bad):
+    with pytest.raises(ExactAlgError):
+        FactoredProduct(((mono("q_{1,2}"), bad),))
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", True])
+def test_json_exponent_not_coerced(bad):
+    obj = {"factors": [{"monomial": [["q_{1,2}", 1]], "exponent": bad}]}
+    with pytest.raises(ExactAlgError):
+        FactoredProduct.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("bad", [1.5, "2", True, -1])
+def test_monomial_power_must_be_nonnegative_int(bad):
+    with pytest.raises(ExactAlgError):
+        Monomial.from_dict({"q_{1}": bad})
 
 
 def test_eval_zero_weights_give_one():
@@ -130,7 +164,7 @@ def test_eval_rank_two_braid_formula_at_equal_weights():
     f = FactoredProduct((
         (mono("q_{1,2}"), 2), (mono("q_{1,3}"), 2), (mono("q_{2,3}"), 2),
         (mono("q_{1,2}", "q_{1,3}", "q_{2,3}"), 1),
-    )).canonical()
+    ))
     for r in (2, 3, 1234567, DEFAULT_PRIME - 2):
         expect = pow(1 - r * r, 6, F.p) * (1 - pow(r, 6, F.p)) % F.p
         got = factored_eval(f, {v: r for v in ("q_{1,2}", "q_{1,3}", "q_{2,3}")}, F)
@@ -173,5 +207,5 @@ def test_specialize_then_eval_equals_constant_assignment(f, r):
 
 
 def test_factored_json_round_trip():
-    f = FactoredProduct(((mono("q_{1,2}", "q_{1,3}"), 2), (mono("q_{1}"), 1))).canonical()
+    f = FactoredProduct(((mono("q_{1,2}", "q_{1,3}"), 2), (mono("q_{1}"), 1)))
     assert FactoredProduct.from_json_obj(f.to_json_obj()) == f

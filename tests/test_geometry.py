@@ -18,6 +18,7 @@ from varchenko.geometry import (Arrangement, EmptyFaceError,
                                 enumerate_chambers, face_of,
                                 factored_determinant_general, multiplicity,
                                 relevant_edges)
+from varchenko.harness import parse_arrangement_file
 
 
 def braid3():
@@ -47,6 +48,10 @@ def test_proportional_hyperplanes_rejected():
     with pytest.raises(GeometryError):
         Arrangement(2, [Hyperplane.make([1, -1], 0, "a"),
                         Hyperplane.make([-2, 2], 0, "b")])
+    half = Hyperplane.make([Fraction(1, 2)], Fraction(1, 3), "a")
+    for normal, offset in (([3], 2), ([-3], -2)):
+        with pytest.raises(GeometryError):
+            Arrangement(1, [half, Hyperplane.make(normal, offset, "b")])
 
 
 def test_duplicate_weights_rejected():
@@ -58,6 +63,30 @@ def test_duplicate_weights_rejected():
 def test_dimension_mismatch_rejected():
     with pytest.raises(GeometryError):
         Arrangement(3, [Hyperplane.make([1, 0], 0, "a")])
+
+
+def test_bool_coefficient_rejected():
+    with pytest.raises(GeometryError):
+        Hyperplane.make([True, 0], 0, "a")
+
+
+def test_bool_offset_rejected():
+    with pytest.raises(GeometryError):
+        Hyperplane.make([1, 0], False, "a")
+
+
+def test_rational_affine_hyperplane_has_primitive_integer_rows():
+    # x_1 / 2 = 1 / 3 is 3 x_1 - 2 = 0; the parallel 3 x_1 = -2 is no duplicate
+    A = Arrangement(1, [Hyperplane.make([Fraction(1, 2)], Fraction(1, 3), "a"),
+                        Hyperplane.make([3], -2, "b")])
+    assert A.rows == (((3, -2), (-3, 2)), ((3, 2), (-3, -2)))
+    assert not A.central
+
+
+def test_central_flag():
+    assert kind("B:3").central
+    A = parse_arrangement_file("dim 2\nhyperplane 1 0 0 a\nhyperplane 0 1 1/2 b\n")
+    assert not A.central
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +248,13 @@ def test_face_witness_exactly_realizes_zeros():
                 assert e.containing == f.zeros
 
 
+def _line_key(h):
+    """(normal, offset) divided by the first nonzero normal entry: the same
+    tuple for proportional equations, so one key per affine set."""
+    first = next(a for a in h.normal if a)
+    return tuple(v / first for v in (*h.normal, h.offset))
+
+
 def _cleared(values):
     """Rationals times the lcm of their denominators: an integer form for
     feasible_strict, scaled independently of the geometry's primitive rows."""
@@ -286,8 +322,8 @@ def small_arrangements(draw, max_dim=3):
             offsets.append(draw(coef))
         for offset in offsets:
             h = Hyperplane.make(list(normal), offset, f"w{len(hyps)}")
-            if h.primitive_key() not in keys:
-                keys.add(h.primitive_key())
+            if _line_key(h) not in keys:
+                keys.add(_line_key(h))
                 hyps.append(h)
     return Arrangement(dim, hyps)
 
@@ -508,9 +544,9 @@ def test_pivot_independence_on_random_central_arrangements(normals):
     hyps, seen = [], set()
     for k, normal in enumerate(normals):
         h = Hyperplane.make(list(normal), 0, f"w{k}")
-        if h.primitive_key() in seen:
+        if _line_key(h) in seen:
             continue
-        seen.add(h.primitive_key())
+        seen.add(_line_key(h))
         hyps.append(h)
     if len(hyps) < 2:
         return

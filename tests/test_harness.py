@@ -4,8 +4,8 @@ from varchenko.closedform import formula_A, formula_D, formula_I2
 from varchenko.exactalg import DEFAULT_PRIME, NotPrimeError
 from varchenko.families import FamilyKind, build_family
 from varchenko.geometry import factored_determinant_general
-from varchenko.harness import (SOURCES, ParseError, bruteforce_source,
-                               compare_factored, draw_nonzero, factored_source,
+from varchenko.harness import (SOURCES, DetSource, ParseError, bruteforce_source,
+                               compare_factored, draw_nonzero,
                                parse_arrangement_file, source,
                                trial_assignment, trial_stream, verify_identity)
 
@@ -67,7 +67,7 @@ def test_compare_factored_d3_includes_pair_exponent_mismatch():
 
 
 def test_verify_source_against_itself_passes():
-    src = factored_source("formula", formula_A(4))
+    src = DetSource("formula", factored=formula_A(4))
     report = verify_identity(src, src, trials=3, subject="A:4")
     assert report.verdict == "PASS"
     assert all(t.equal for t in report.trials)
@@ -76,7 +76,7 @@ def test_verify_source_against_itself_passes():
 def test_verify_geometric_vs_bruteforce_braid4():
     A = kind("A:4")
     report = verify_identity(
-        factored_source("geometric", factored_determinant_general(A)),
+        DetSource("geometric", factored=factored_determinant_general(A)),
         bruteforce_source(A), trials=5, subject="A:4")
     assert report.verdict == "PASS"
     assert len(report.trials) == 5
@@ -84,7 +84,7 @@ def test_verify_geometric_vs_bruteforce_braid4():
 
 def test_verify_printed_d2_formula_fails_with_witness():
     report = verify_identity(
-        factored_source("formula", formula_D(2)),
+        DetSource("formula", factored=formula_D(2)),
         bruteforce_source(kind("D:2")), trials=3, subject="D:2")
     assert report.verdict == "FAIL"
     witness_trials = [t for t in report.trials if not t.equal]
@@ -94,7 +94,7 @@ def test_verify_printed_d2_formula_fails_with_witness():
 
 def test_verify_i2_6_formula_passes():
     report = verify_identity(
-        factored_source("formula", formula_I2(6)),
+        DetSource("formula", factored=formula_I2(6)),
         bruteforce_source(kind("I2:6")), trials=5, subject="I2:6")
     assert report.verdict == "PASS"
 
@@ -102,14 +102,14 @@ def test_verify_i2_6_formula_passes():
 def test_verify_reports_are_byte_identical_across_runs():
     def run():
         return verify_identity(
-            factored_source("formula", formula_I2(5)),
+            DetSource("formula", factored=formula_I2(5)),
             bruteforce_source(kind("I2:5")),
             trials=4, seed=11, subject="I2:5").to_json()
     assert run() == run()
 
 
 def test_verify_seed_changes_assignments():
-    src = factored_source("formula", formula_A(3))
+    src = DetSource("formula", factored=formula_A(3))
     r0 = verify_identity(src, src, trials=2, seed=0)
     r1 = verify_identity(src, src, trials=2, seed=1)
     assert [t.assignment_digest for t in r0.trials] != \
@@ -119,7 +119,7 @@ def test_verify_seed_changes_assignments():
 def test_report_fields_and_error_bound():
     A = kind("A:3")
     f = factored_determinant_general(A)
-    report = verify_identity(factored_source("geometric", f),
+    report = verify_identity(DetSource("geometric", factored=f),
                              bruteforce_source(A), trials=5, subject="A:3")
     assert report.degree_bound == 18
     note = report.error_bound_note()
@@ -133,8 +133,8 @@ def test_report_fields_and_error_bound():
 
 def test_factored_diff_attached_when_both_sides_factored():
     report = verify_identity(
-        factored_source("formula", formula_D(2)),
-        factored_source("geometric", factored_determinant_general(kind("D:2"))),
+        DetSource("formula", factored=formula_D(2)),
+        DetSource("geometric", factored=factored_determinant_general(kind("D:2"))),
         trials=2, subject="D:2")
     assert report.verdict == "FAIL"
     assert report.factored_diff is not None and not report.factored_diff.is_empty()
@@ -152,7 +152,7 @@ def test_source_by_name():
     made = {name: source(name, A, k) for name in SOURCES}
     assert [s.label for s in made.values()] == list(SOURCES)
     assert made["formula"].factored == formula_A(3)
-    assert made["geometric"].factored == factored_determinant_general(A).canonical()
+    assert made["geometric"].factored == factored_determinant_general(A)
     assert made["bruteforce"].arrangement is A
     assert all(s.variables() == A.weight_names() for s in made.values())
 
@@ -166,7 +166,7 @@ def test_source_rejects_unknown_name_and_formula_without_kind():
 
 
 def test_verify_rejects_bad_parameters():
-    src = factored_source("formula", formula_A(3))
+    src = DetSource("formula", factored=formula_A(3))
     with pytest.raises(ValueError):
         verify_identity(src, src, trials=0)
     with pytest.raises(NotPrimeError):
@@ -263,6 +263,6 @@ hyperplane 1 1 2 d
 """
     A = parse_arrangement_file(text)
     report = verify_identity(
-        factored_source("geometric", factored_determinant_general(A)),
+        DetSource("geometric", factored=factored_determinant_general(A)),
         bruteforce_source(A), trials=5, subject="affine")
     assert report.verdict == "PASS"
