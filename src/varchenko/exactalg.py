@@ -160,13 +160,12 @@ DEFAULT_PRIME = (1 << 61) - 1
 # ---------------------------------------------------------------------------
 
 
-def _exponent(e, what: str) -> int:
-    """e itself if it is a nonnegative int; a bool, float or str is refused."""
-    if isinstance(e, bool) or not isinstance(e, int):
-        raise ExactAlgError(f"{what} must be an int, got {type(e).__name__}")
-    if e < 0:
-        raise ExactAlgError(f"negative {what}")
-    return e
+def _exponent(e, name: str | None = None) -> int:
+    """e itself if it is a nonnegative int; name is its variable, None for a factor."""
+    if isinstance(e, int) and not isinstance(e, bool) and e >= 0:
+        return e
+    what = "factor exponent" if name is None else f"exponent for {name!r}"
+    raise ExactAlgError(f"{what} must be a nonnegative int, got {e!r}")
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,7 @@ class Monomial:
     def from_dict(exps: Mapping[str, int]) -> "Monomial":
         items = []
         for name, e in exps.items():
-            if _exponent(e, f"exponent for {name!r}"):
+            if _exponent(e, name):
                 items.append((validate_var(name), e))
         return Monomial(tuple(sorted(items)))
 
@@ -247,7 +246,7 @@ class FactoredProduct:
     def __post_init__(self):
         merged: dict[Monomial, int] = {}
         for mono, e in self.factors:
-            if _exponent(e, "factor exponent"):
+            if _exponent(e):
                 merged[mono] = merged.get(mono, 0) + e
         object.__setattr__(self, "factors", tuple(
             sorted(merged.items(), key=lambda it: _mono_sort_key(it[0]))))

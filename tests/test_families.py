@@ -50,9 +50,8 @@ def test_b2_weight_order():
 
 def test_i2_4_equals_b2_as_line_sets():
     def lines(k):
-        # each normal divided by its first nonzero entry: one key per line
-        return {tuple(a / next(b for b in h.normal if b) for a in h.normal)
-                for h in build_family(kind(k)).hyperplanes}
+        # a primitive row or its negation, whichever is larger: one key per line
+        return {max(up, down) for up, down in build_family(kind(k)).rows}
 
     assert lines("I2:4") == lines("B:2")
 

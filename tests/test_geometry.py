@@ -18,7 +18,6 @@ from varchenko.geometry import (Arrangement, EmptyFaceError,
                                 enumerate_chambers, face_of,
                                 factored_determinant_general, multiplicity,
                                 relevant_edges)
-from varchenko.harness import parse_arrangement_file
 
 
 def braid3():
@@ -65,14 +64,10 @@ def test_dimension_mismatch_rejected():
         Arrangement(3, [Hyperplane.make([1, 0], 0, "a")])
 
 
-def test_bool_coefficient_rejected():
+@pytest.mark.parametrize("normal,offset", [([True, 0], 0), ([1, 0], False)])
+def test_bool_coordinate_rejected(normal, offset):
     with pytest.raises(GeometryError):
-        Hyperplane.make([True, 0], 0, "a")
-
-
-def test_bool_offset_rejected():
-    with pytest.raises(GeometryError):
-        Hyperplane.make([1, 0], False, "a")
+        Hyperplane.make(normal, offset, "a")
 
 
 def test_rational_affine_hyperplane_has_primitive_integer_rows():
@@ -85,8 +80,6 @@ def test_rational_affine_hyperplane_has_primitive_integer_rows():
 
 def test_central_flag():
     assert kind("B:3").central
-    A = parse_arrangement_file("dim 2\nhyperplane 1 0 0 a\nhyperplane 0 1 1/2 b\n")
-    assert not A.central
 
 
 # ---------------------------------------------------------------------------
