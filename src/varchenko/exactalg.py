@@ -172,27 +172,29 @@ def _exponent(e, name: str | None = None) -> int:
 class Monomial:
     """A product of weight variables with positive integer exponents.
 
-    Stored as a tuple of (name, exponent) pairs sorted by name; the empty
-    tuple is the monomial 1.
+    The constructor stores the canonical form: names checked against the
+    variable grammar, repeated names merged, zero exponents dropped, and the
+    rest sorted by name; the empty tuple is the monomial 1.  An exponent must
+    be a nonnegative int.
     """
 
     powers: tuple[tuple[str, int], ...] = ()
 
+    def __post_init__(self):
+        merged: dict[str, int] = {}
+        for name, e in self.powers:
+            if _exponent(e, name):
+                merged[validate_var(name)] = merged.get(name, 0) + e
+        object.__setattr__(self, "powers", tuple(sorted(merged.items())))
+
     @staticmethod
     def from_dict(exps: Mapping[str, int]) -> "Monomial":
-        items = []
-        for name, e in exps.items():
-            if _exponent(e, name):
-                items.append((validate_var(name), e))
-        return Monomial(tuple(sorted(items)))
+        return Monomial(tuple(exps.items()))
 
     @staticmethod
     def from_vars(names: Iterable[str]) -> "Monomial":
         """Product of the given variables (repeats accumulate exponents)."""
-        exps: dict[str, int] = {}
-        for name in names:
-            exps[name] = exps.get(name, 0) + 1
-        return Monomial.from_dict(exps)
+        return Monomial(tuple((name, 1) for name in names))
 
     @property
     def degree(self) -> int:

@@ -1,23 +1,21 @@
 """Exact feasibility of linear systems by Fourier-Motzkin elimination.
 
-Decides whether a system of strict inequalities, weak inequalities and
-equations over the rationals has a solution, and produces an exact rational
-witness when it does.  Chosen over simplex because it is the simplest method
-that is provably exact at the scales this package targets (a few dozen
-constraints, dimension below ten).
+Decides whether a system of strict and weak inequalities over the rationals
+has a solution, and produces an exact rational witness when it does.  Chosen
+over simplex because it is the simplest method that is provably exact at the
+scales this package targets (a few dozen constraints, dimension below ten).
 
 A relation is a pair (form, rel) where form is a sequence of dim+1 integers
-a_1, ..., a_n, c representing the affine function a.x + c, and rel is one of
-">", ">=", "=" (meaning a.x + c REL 0).  A rational form is scaled to
-integers by the caller.  The witness is returned as (nums, den): the point
-nums / den with den >= 1 and gcd(den, *nums) == 1.
+a_1, ..., a_n, c representing the affine function a.x + c, and rel is ">" or
+">=" (meaning a.x + c REL 0).  A rational form is scaled to integers by the
+caller, and an equation is two opposite ">=" rows.  The witness is returned as
+(nums, den): the point nums / den with den >= 1 and gcd(den, *nums) == 1.
 
 Implementation notes:
   * elimination is on the integer rows as they are given (neither pivot
     choice nor witness depends on a row's scale); witness back-substitution
     takes integer dot products over the point's one denominator, and only
     the bounds a round puts on its variable are Fractions,
-  * equations are eliminated first by exact substitution,
   * derived rows are gcd-normalized and deduplicated; for identical
     coefficient vectors only the tightest constant is kept (this is what
     keeps Fourier-Motzkin growth tame on reflection-arrangement systems),
@@ -40,7 +38,7 @@ class DimensionMismatchError(ValueError):
 
 Relation = tuple[Sequence[int], str]
 
-_RELS = (">", ">=", "=")
+_RELS = (">", ">=")
 
 
 def _checked_row(form: Sequence[int], rel: str, dim: int):
@@ -66,9 +64,10 @@ def _normalize(coefs: tuple, const: int):
     return coefs, const
 
 
-def _scaled(coefs: tuple, const: int, nums: list[int], den: int) -> int:
-    """den times the value of the row (coefs, const) at the point nums / den."""
-    return sum(a * x for a, x in zip(coefs, nums)) + const * den
+def _at(row: Sequence[int], nums: Sequence[int], den: int) -> int:
+    """den times the value of the integer row (coefficients, then constant)
+    at the point nums / den."""
+    return sum(a * x for a, x in zip(row, nums)) + row[-1] * den
 
 
 def _assign(nums: list[int], den: int, var: int, x: Fraction):
@@ -102,69 +101,19 @@ def feasible_strict(system: list[Relation],
     """Decide the system of integer forms exactly; return a witness point as
     (nums, den), den >= 1 and gcd(den, *nums) == 1, or None.
 
-    The witness nums / den strictly satisfies every ">" relation, weakly
-    every ">=", and exactly every "=".
+    The witness nums / den strictly satisfies every ">" relation and weakly
+    every ">=".
     """
-    eqs = []           # (coefs, const)
-    ineqs: dict = {}   # coefs -> (const, strict)
-    try:
-        for form, rel in system:
-            coefs, const = _checked_row(form, rel, dim)
-            if rel == "=":
-                if any(coefs):
-                    eqs.append((coefs, const))
-                elif const != 0:
-                    return None
-            else:
-                _add_row(ineqs, coefs, const, rel == ">")
-    except _Infeasible:
-        return None
-
-    # Substitute equations away.  Each pivot records (var, coefs, const) with
-    # coefs[var] != 0 for back-substitution.
-    substitutions = []
-    try:
-        while eqs:
-            coefs, const = eqs.pop()
-            if not any(coefs):
-                if const != 0:
-                    return None
-                continue
-            # pivot on the entry of smallest magnitude to limit growth
-            var = min((i for i, a in enumerate(coefs) if a), key=lambda i: abs(coefs[i]))
-            substitutions.append((var, coefs, const))
-            ev = coefs[var]
-            sign = 1 if ev > 0 else -1
-            mag = abs(ev)
-            new_eqs = []
-            for c2, k2 in eqs:
-                a = c2[var]
-                if a:
-                    c2 = tuple(mag * x - sign * a * y for x, y in zip(c2, coefs))
-                    k2 = mag * k2 - sign * a * const
-                    c2, k2 = _normalize(c2, k2)
-                new_eqs.append((c2, k2))
-            eqs = new_eqs
-            old = ineqs
-            ineqs = {}
-            for c2, (k2, strict) in old.items():
-                a = c2[var]
-                if a:
-                    row = tuple(mag * x - sign * a * y for x, y in zip(c2, coefs))
-                    k2 = mag * k2 - sign * a * const
-                    _add_row(ineqs, row, k2, strict)
-                else:
-                    _add_row(ineqs, c2, k2, strict)
-    except _Infeasible:
-        return None
-
+    rows: dict = {}   # coefs -> (const, strict)
     # Fourier-Motzkin rounds.  Each round records (var, lower_rows, upper_rows)
     # where lower_rows have positive and upper_rows negative coefficient on var.
     rounds = []
     try:
+        for form, rel in system:
+            _add_row(rows, *_checked_row(form, rel, dim), rel == ">")
         while True:
             present: dict[int, list[int]] = {}
-            for coefs in ineqs:
+            for coefs in rows:
                 for i, a in enumerate(coefs):
                     if a:
                         cnt = present.setdefault(i, [0, 0])
@@ -173,7 +122,7 @@ def feasible_strict(system: list[Relation],
                 break
             var = min(present, key=lambda i: (present[i][0] * present[i][1], i))
             pos, neg, rest = [], [], {}
-            for coefs, (const, strict) in ineqs.items():
+            for coefs, (const, strict) in rows.items():
                 a = coefs[var]
                 if a > 0:
                     pos.append((coefs, const, strict))
@@ -182,24 +131,24 @@ def feasible_strict(system: list[Relation],
                 else:
                     rest[coefs] = (const, strict)
             rounds.append((var, pos, neg))
-            ineqs = rest
+            rows = rest
             for pc, pk, ps in pos:
                 pa = pc[var]
                 for nc, nk, ns in neg:
                     na = -nc[var]
                     row = tuple(na * x + pa * y for x, y in zip(pc, nc))
-                    _add_row(ineqs, row, na * pk + pa * nk, ps or ns)
+                    _add_row(rows, row, na * pk + pa * nk, ps or ns)
     except _Infeasible:
         return None
 
     # Feasible.  Reconstruct a witness: free variables get 0, then walk the
-    # Fourier-Motzkin rounds and the equation substitutions in reverse.  Each
-    # variable is eliminated once, so x_var is still 0 when its turn comes,
-    # and a row bounds den * x_var by -_scaled(row) / a_var.
+    # Fourier-Motzkin rounds in reverse.  Each variable is eliminated once, so
+    # x_var is still 0 when its turn comes, and a row bounds den * x_var by
+    # -_at(row) / a_var.
     nums, den = [0] * dim, 1
     for var, pos, neg in reversed(rounds):
-        lo = [(Fraction(-_scaled(c, k, nums, den), c[var]), s) for c, k, s in pos]
-        up = [(Fraction(-_scaled(c, k, nums, den), c[var]), s) for c, k, s in neg]
+        lo = [(Fraction(-_at(c + (k,), nums, den), c[var]), s) for c, k, s in pos]
+        up = [(Fraction(-_at(c + (k,), nums, den), c[var]), s) for c, k, s in neg]
         if lo and up:
             low, high = max(lo)[0], min(up)[0]
             if low < high:
@@ -216,8 +165,5 @@ def feasible_strict(system: list[Relation],
             x = max(lo)[0] + den
         else:
             x = min(up)[0] - den
-        nums, den = _assign(nums, den, var, x)
-    for var, coefs, const in reversed(substitutions):
-        x = Fraction(-_scaled(coefs, const, nums, den), coefs[var])
         nums, den = _assign(nums, den, var, x)
     return tuple(nums), den

@@ -19,9 +19,11 @@ The pipeline:
                        with the set of hyperplanes vanishing on it; facets
                        come from chamber adjacency, further zeros from the
                        elimination basis of those already found, and one
-                       feasibility test decides each remaining hyperplane
-                       (central arrangements use the origin as base point,
-                       and the face table copies each face of -C from C)
+                       feasibility test decides each remaining hyperplane;
+                       the tests run on H_h through the chamber rows,
+                       reduced once against H_h's row (central arrangements
+                       use the origin as base point, and the face table
+                       copies each face of -C from C)
   canonical_edge       intersection of a hyperplane subset, closed under
                        implied hyperplanes, by integer Gaussian elimination
   relevant_edges       edges generated by faces, each with its multiplicity
@@ -45,7 +47,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .exactalg import (FactoredProduct, InternalConsistencyError, Monomial,
                        validate_var)
-from .feasibility import feasible_strict
+from .feasibility import _assign, _at, feasible_strict
 
 DEFAULT_MAX_HYPERPLANES = 32
 DEFAULT_MAX_CHAMBERS = 6000
@@ -74,6 +76,15 @@ class DuplicateHyperplaneError(GeometryError):
         self.what = what
 
 
+class InvalidHyperplaneError(GeometryError):
+    """Hyperplane `index` fails a check of Hyperplane.make, for `reason`."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"hyperplane {index}: {reason}")
+        self.index = index
+        self.reason = reason
+
+
 class EmptyFaceError(GeometryError):
     """The closed chamber does not meet the hyperplane (non-central only)."""
 
@@ -82,23 +93,14 @@ class EmptyIntersectionError(GeometryError):
     """The requested hyperplanes have empty common intersection."""
 
 
-def _primitive_ints(values: Sequence) -> list[int]:
-    """Exact rationals scaled to coprime integers: clear the denominators,
-    then divide by the gcd.  Proportional inputs differ only in sign after."""
-    den = 1
-    for v in values:
-        if isinstance(v, Fraction):
-            den = lcm(den, v.denominator)
-        elif not isinstance(v, int):
-            raise ValueError(f"exact coefficient expected, got {type(v).__name__}")
-    ints = [v.numerator * (den // v.denominator) if isinstance(v, Fraction) else v * den
-            for v in values]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+def _primitive_ints(values: Sequence[Fraction]) -> tuple[int, ...]:
+    """Rationals, not all 0, scaled to coprime integers: clear the
+    denominators, then divide by the gcd.  Proportional inputs differ only in
+    sign after."""
+    den = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints)
 
 
 def _as_fraction(x) -> Fraction:
@@ -119,6 +121,9 @@ class Hyperplane:
 
     @staticmethod
     def make(normal: Sequence, offset, weight: str) -> "Hyperplane":
+        """The hyperplane with Fraction entries; raises ValueError on an entry
+        that is not an int or a Fraction (bool included), a zero normal or a
+        weight outside the variable grammar."""
         nv = tuple(_as_fraction(a) for a in normal)
         if not any(nv):
             raise GeometryError(f"hyperplane {weight!r} has zero normal")
@@ -131,6 +136,10 @@ class Hyperplane:
 class Arrangement:
     """A finite list of pairwise distinct weighted hyperplanes in Q^dimension.
 
+    Each hyperplane, also one built directly, passes the checks of
+    Hyperplane.make and is stored as make returns it; a failed check raises
+    InvalidHyperplaneError with the hyperplane's index.
+
     rows[i] holds the primitive integer rows of H_i > 0 and H_i < 0:
     (normal, -offset) cleared of denominators, and its negation; rows[i][s < 0]
     is the row of side s.  Proportional hyperplanes have the same rows up to
@@ -141,15 +150,19 @@ class Arrangement:
     def __init__(self, dimension: int, hyperplanes: Sequence[Hyperplane]):
         if dimension < 1:
             raise GeometryError("dimension must be positive")
-        hyps = tuple(hyperplanes)
+        hyps = []
         rows = []
         keys: dict[tuple, int] = {}
         weights: dict[str, int] = {}
-        for idx, h in enumerate(hyps):
+        for idx, h in enumerate(hyperplanes):
             if len(h.normal) != dimension:
-                raise GeometryError(
-                    f"hyperplane {idx} has {len(h.normal)} coefficients, expected {dimension}")
-            row = tuple(_primitive_ints(h.normal + (-h.offset,)))
+                raise InvalidHyperplaneError(
+                    idx, f"{len(h.normal)} coefficients, expected {dimension}")
+            try:
+                h = Hyperplane.make(h.normal, h.offset, h.weight)
+            except ValueError as exc:
+                raise InvalidHyperplaneError(idx, str(exc)) from None
+            row = _primitive_ints(h.normal + (-h.offset,))
             neg = tuple(-v for v in row)
             k = max(row, neg)
             if k in keys:
@@ -159,9 +172,10 @@ class Arrangement:
                     idx, weights[h.weight], f"weight {h.weight!r}")
             keys[k] = idx
             weights[h.weight] = idx
+            hyps.append(h)
             rows.append((row, neg))
         self.dimension = dimension
-        self.hyperplanes = hyps
+        self.hyperplanes = tuple(hyps)
         self.rows = tuple(rows)
         self.central = all(row[-1] == 0 for row, _ in rows)
         self._cache: dict = {}
@@ -202,16 +216,6 @@ class Edge:
     dim: int
     weight_monomial: Monomial
     multiplicity: int
-
-
-# ---------------------------------------------------------------------------
-# integer points
-# ---------------------------------------------------------------------------
-
-
-def _at(row: Sequence[int], nums: Sequence[int], den: int) -> int:
-    """den times the value of the integer row at the point nums / den."""
-    return sum(a * x for a, x in zip(row, nums)) + row[-1] * den
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +314,9 @@ def chamber_index(A: Arrangement, chamber: Union[Chamber, int]) -> int:
 def _reduce_row(row: Sequence[int], basis: list[tuple[int, list[int]]]) -> list[int]:
     """The integer row with the pivot column of each basis row cleared, in
     basis order.  A basis row is zero on the pivots of the rows before it, so
-    clearing a later pivot never refills an earlier one."""
+    clearing a later pivot never refills an earlier one.  Every pivot is
+    positive, so where the basis rows vanish the result is a positive
+    multiple of the row: it keeps the row's sign there."""
     row = list(row)
     for col, brow in basis:
         f = row[col]
@@ -324,13 +330,14 @@ def _extend_basis(basis: list[tuple[int, list[int]]], row: list[int], n: int) ->
     """Add `row`, already reduced against `basis`, as a new pivot row.
 
     The basis is an echelon form of integer rows over the first n columns
-    (the normal); column n is the constant.  Returns False, leaving the basis
-    unchanged, when the row has no pivot among the first n columns.
+    (the normal); column n is the constant.  The row is stored primitive and
+    with a positive pivot.  Returns False, leaving the basis unchanged, when
+    the row has no pivot among the first n columns.
     """
     col = next((j for j in range(n) if row[j]), None)
     if col is None:
         return False
-    g = gcd(*row)
+    g = gcd(*row) if row[col] > 0 else -gcd(*row)
     basis.append((col, [v // g for v in row]))
     return True
 
@@ -370,10 +377,14 @@ def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> Face:
 
     zeros collects every hyperplane vanishing identically on the face: i is a
     zero iff {H_h = 0, all chamber inequalities weakened, sign_i H_i strict}
-    is infeasible.  The relative-interior witness is the average of the
-    witnesses of the feasible tests, which by convexity is strict off zeros
-    and exact.  Raises EmptyFaceError when the closed chamber misses H_h
-    (possible only for non-central arrangements).
+    is infeasible.  The tests run on H_h through the reduced rows: each
+    chamber row is reduced against H_h's once, which clears H_h's pivot
+    column and keeps the row's sign on H_h, so feasible_strict decides
+    inequalities only and its witnesses have 0 in that column.  The
+    relative-interior witness is the average of the witnesses of the
+    feasible tests, which by convexity is strict off zeros, lifted onto H_h
+    along the pivot column.  Raises EmptyFaceError when the closed chamber
+    misses H_h (possible only for non-central arrangements).
 
     Exact shortcuts spare most feasibility tests:
       * the face is a facet (zeros {h}) iff the chamber with sign h flipped
@@ -405,32 +416,29 @@ def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> Face:
         return Face(ci, h, frozenset([h]),
                     tuple(Fraction(b * x - a * y, den) for x, y in zip(P, Q)))
 
-    eq = (eq_h, "=")
-    weak = [(rows[i][s < 0], ">=") for i, s in enumerate(signs) if i != h]
+    basis: list[tuple[int, list[int]]] = []
+    _extend_basis(basis, eq_h, dim)
+    sides = {i: _reduce_row(rows[i][s < 0], basis) for i, s in enumerate(signs) if i != h}
+    weak = [(side, ">=") for side in sides.values()]
     if A.central:
         nums, den = (0,) * dim, 1
     else:
-        base = feasible_strict([eq] + weak, dim)
+        base = feasible_strict(weak, dim)
         if base is None:
             raise EmptyFaceError(f"chamber {ci} closure does not meet hyperplane {h}")
         nums, den = base
 
-    basis: list[tuple[int, list[int]]] = []
-    _extend_basis(basis, eq_h, dim)
     # nums / den is the sum of the k witnesses found so far
     k = 1
     zeros = {h}
-    for i, s in enumerate(signs):
-        if i == h:
+    for i, side in sides.items():
+        if _at(side, nums, den * k) > 0:
             continue
-        strict = rows[i][s < 0]
-        if _at(strict, nums, den * k) > 0:
-            continue
-        row = _reduce_row(rows[i][0], basis)
+        row = _reduce_row(side, basis)
         if not any(row):
             zeros.add(i)
             continue
-        wi = feasible_strict([eq] + weak + [(strict, ">")], dim)
+        wi = feasible_strict(weak + [(side, ">")], dim)
         if wi is None:
             zeros.add(i)
             _extend_basis(basis, row, dim)
@@ -439,7 +447,11 @@ def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> Face:
             wn, wd = wi
             nums = tuple(x * wd + y * den for x, y in zip(nums, wn))
             den *= wd
-    return Face(ci, h, frozenset(zeros), tuple(Fraction(x, den * k) for x in nums))
+    # lift the average onto H_h along the pivot column
+    col, row_h = basis[0]
+    den *= k
+    nums, den = _assign(nums, den, col, Fraction(-_at(row_h, nums, den), row_h[col]))
+    return Face(ci, h, frozenset(zeros), tuple(Fraction(x, den) for x in nums))
 
 
 def _face_edge_table(A: Arrangement) -> dict:
@@ -540,6 +552,7 @@ __all__ = [
     "Arrangement", "Chamber", "Edge", "Face", "Hyperplane",
     "DuplicateHyperplaneError", "EmptyFaceError", "EmptyIntersectionError",
     "GeometryError", "GuardExceededError", "InternalConsistencyError",
+    "InvalidHyperplaneError",
     "DEFAULT_MAX_CHAMBERS", "DEFAULT_MAX_HYPERPLANES",
     "canonical_edge", "chamber_index", "enumerate_chambers", "face_of",
     "factored_determinant_general", "feasible_strict", "multiplicity",

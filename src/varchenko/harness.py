@@ -28,7 +28,8 @@ from .exactalg import (DEFAULT_PRIME, FactoredProduct, Monomial, PrimeField,
                        _mono_sort_key, factored_eval)
 from .families import FamilyKind
 from .geometry import (Arrangement, DuplicateHyperplaneError, Hyperplane,
-                       enumerate_chambers, factored_determinant_general)
+                       InvalidHyperplaneError, enumerate_chambers,
+                       factored_determinant_general)
 from .matrix import degree_bound, det_mod, varchenko_matrix_eval
 
 DEFAULT_TRIALS = 5
@@ -334,13 +335,9 @@ def parse_arrangement_file(text: str) -> Arrangement:
                 raise ParseError(
                     lineno, f"expected {dim} coefficients, offset and weight "
                             f"({dim + 3} tokens), got {len(parts)}")
-            coeffs = [_parse_rational(tok, lineno) for tok in parts[1:dim + 1]]
+            coeffs = tuple(_parse_rational(tok, lineno) for tok in parts[1:dim + 1])
             offset = _parse_rational(parts[dim + 1], lineno)
-            try:
-                h = Hyperplane.make(coeffs, offset, parts[dim + 2])
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
-            hyperplanes.append(h)
+            hyperplanes.append(Hyperplane(coeffs, offset, parts[dim + 2]))
             linenos.append(lineno)
         else:
             raise ParseError(lineno, f"unknown directive {parts[0]!r}")
@@ -350,6 +347,8 @@ def parse_arrangement_file(text: str) -> Arrangement:
         raise ParseError(0, "no hyperplanes given")
     try:
         return Arrangement(dim, hyperplanes)
+    except InvalidHyperplaneError as exc:
+        raise ParseError(linenos[exc.index], exc.reason) from None
     except DuplicateHyperplaneError as exc:
         raise ParseError(linenos[exc.index],
                          f"hyperplane duplicates the {exc.what} of line "

@@ -147,6 +147,16 @@ def test_json_exponent_not_coerced(bad):
 def test_monomial_power_must_be_nonnegative_int(bad):
     with pytest.raises(ExactAlgError):
         Monomial.from_dict({"q_{1}": bad})
+    with pytest.raises(ExactAlgError):
+        Monomial((("q", bad),))
+
+
+def test_monomial_canonical_on_construction():
+    assert Monomial((("b", 1), ("a", 1))) == Monomial.from_vars(["a", "b"])
+    assert Monomial((("a", 1), ("b", 2), ("a", 1), ("c", 0))) == Monomial.from_dict(
+        {"a": 2, "b": 2})
+    with pytest.raises(ExactAlgError):
+        Monomial((("1bad", 1),))
 
 
 def test_eval_zero_weights_give_one():

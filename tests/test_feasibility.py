@@ -15,12 +15,12 @@ def check_witness(system, dim, witness):
     assert len(nums) == dim and den >= 1 and gcd(den, *nums) == 1
     for form, rel in system:
         value = sum(a * Fraction(x, den) for a, x in zip(form, nums)) + form[-1]
-        if rel == ">":
-            assert value > 0
-        elif rel == ">=":
-            assert value >= 0
-        else:
-            assert value == 0
+        assert value > 0 if rel == ">" else value >= 0
+
+
+def equation(form):
+    """form = 0 as the two opposite weak inequalities feasible_strict takes."""
+    return [(tuple(form), ">="), (tuple(-v for v in form), ">=")]
 
 
 def test_contradiction_infeasible():
@@ -52,17 +52,17 @@ def test_strict_against_weak_infeasible():
 
 
 def test_equalities_substitute():
-    system = [((1, 0, -1), "="), ((0, 1, -2), "="), ((1, 1, -3), ">=")]
+    system = equation((1, 0, -1)) + equation((0, 1, -2)) + [((1, 1, -3), ">=")]
     w = feasible_strict(system, 2)
     assert w == ((1, 2), 1)
 
 
 def test_equality_conflict():
-    assert feasible_strict([((1, -1), "="), ((1, -2), "=")], 1) is None
+    assert feasible_strict(equation((1, -1)) + equation((1, -2)), 1) is None
 
 
 def test_equality_with_strict_violation():
-    assert feasible_strict([((1, -1), "="), ((-1, 0), ">")], 1) is None
+    assert feasible_strict(equation((1, -1)) + [((-1, 0), ">")], 1) is None
 
 
 @pytest.mark.parametrize("system,witness", [
@@ -100,8 +100,10 @@ def test_dimension_mismatch():
 
 
 def test_bad_relation():
-    with pytest.raises(ValueError):
-        feasible_strict([((1, 0), "<")], 1)
+    # equations are not taken: pass form = 0 as form >= 0 and -form >= 0
+    for rel in ("<", "="):
+        with pytest.raises(ValueError):
+            feasible_strict([((1, 0), rel)], 1)
 
 
 def test_constant_rows():
@@ -122,15 +124,18 @@ points = st.lists(st.fractions(min_value=-5, max_value=5), min_size=2, max_size=
 @settings(max_examples=150)
 def test_systems_built_around_a_point_are_feasible(center, raw, data):
     """Soundness and completeness on constructed-feasible systems: take a
-    random point, keep each random form on the side the point satisfies."""
+    random point, keep each random form on the side the point satisfies; an
+    equation through the point enters as two opposite weak inequalities."""
     dim = len(center)
     system = []
     for coefs, rel in raw:
         coefs = (coefs + [0] * dim)[:dim]
         value = sum(Fraction(a) * x for a, x in zip(coefs, center))
         if rel == "=":
-            form = tuple(a * value.denominator for a in coefs) + (-value.numerator,)
-        elif value == 0:
+            system += equation(tuple(a * value.denominator for a in coefs)
+                               + (-value.numerator,))
+            continue
+        if value == 0:
             form = tuple(coefs) + (0,)
             rel = ">="
         else:

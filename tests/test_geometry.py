@@ -14,7 +14,8 @@ from varchenko.feasibility import feasible_strict
 from varchenko.geometry import (Arrangement, EmptyFaceError,
                                 EmptyIntersectionError, GeometryError,
                                 GuardExceededError, Hyperplane,
-                                InternalConsistencyError, canonical_edge,
+                                InternalConsistencyError,
+                                InvalidHyperplaneError, canonical_edge,
                                 enumerate_chambers, face_of,
                                 factored_determinant_general, multiplicity,
                                 relevant_edges)
@@ -41,6 +42,11 @@ def kind(s):
 def test_zero_normal_rejected():
     with pytest.raises(GeometryError):
         Hyperplane.make([0, 0], 0, "w")
+    # built directly, the row (0, 0, -1) of 0 = 1
+    with pytest.raises(InvalidHyperplaneError) as exc:
+        Arrangement(2, [Hyperplane.make([1, 0], 0, "a"),
+                        Hyperplane((Fraction(0), Fraction(0)), Fraction(1), "b")])
+    assert exc.value.index == 1
 
 
 def test_proportional_hyperplanes_rejected():
@@ -68,6 +74,18 @@ def test_dimension_mismatch_rejected():
 def test_bool_coordinate_rejected(normal, offset):
     with pytest.raises(GeometryError):
         Hyperplane.make(normal, offset, "a")
+    # built directly; -False is the int 0, so the offset itself is checked
+    with pytest.raises(InvalidHyperplaneError) as exc:
+        Arrangement(2, [Hyperplane(tuple(normal), offset, "a")])
+    assert exc.value.index == 0
+
+
+def test_bad_weight_rejected():
+    with pytest.raises(ValueError):
+        Hyperplane.make([1, 0], 0, "1bad")
+    with pytest.raises(InvalidHyperplaneError) as exc:
+        Arrangement(2, [Hyperplane.make([1, 0], 0, "a"), Hyperplane((0, 1), 0, "1bad")])
+    assert exc.value.index == 1
 
 
 def test_rational_affine_hyperplane_has_primitive_integer_rows():
@@ -269,13 +287,15 @@ def _face_of_lp(A, chamber, h):
         return _cleared(tuple(s * a for a in hp.normal) + (-s * hp.offset,)), rel
 
     hp = A.hyperplanes[h]
-    eq = (_cleared(hp.normal + (-hp.offset,)), "=")
-    weak = [side(i, ">=") for i in range(len(A.hyperplanes)) if i != h]
-    if feasible_strict([eq] + weak, A.dimension) is None:
+    eq = _cleared(hp.normal + (-hp.offset,))
+    # H_h = 0 as two opposite weak inequalities
+    weak = [(eq, ">="), (tuple(-v for v in eq), ">=")]
+    weak += [side(i, ">=") for i in range(len(A.hyperplanes)) if i != h]
+    if feasible_strict(weak, A.dimension) is None:
         return None
     return frozenset([h] + [i for i in range(len(A.hyperplanes))
                             if i != h and feasible_strict(
-                                [eq] + weak + [side(i, ">")], A.dimension) is None])
+                                weak + [side(i, ">")], A.dimension) is None])
 
 
 def _check_face_scan_against_reference(A):
@@ -335,7 +355,8 @@ def _counting(calls):
     return counting
 
 
-@pytest.mark.parametrize("sel,limit", [("D:4", 2016), ("A:5", 900)])
+@pytest.mark.parametrize("sel,limit", [("D:4", 2016), ("A:5", 900), ("B:3", 288),
+                                       ("I2:8", 48)])
 def test_face_scan_feasibility_call_budget(sel, limit, monkeypatch):
     # the all-LP scan made 12,096 (D:4) and 4,920 (A:5) calls
     A = kind(sel)
