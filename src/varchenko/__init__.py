@@ -18,6 +18,7 @@ from .geometry import (Arrangement, Chamber, Edge, Face, Hyperplane,
 from .harness import (SOURCES, DetSource, FactoredDiff, VerificationReport,
                       bruteforce_source, compare_factored,
                       parse_arrangement_file, source, verify_identity)
-from .matrix import degree_bound, det_mod, varchenko_matrix_eval
+from .matrix import (degree_bound, det_mod, varchenko_det_mod,
+                     varchenko_matrix_eval)
 
 __version__ = "0.1.0"

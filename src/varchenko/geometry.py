@@ -14,7 +14,9 @@ The pipeline:
                        side of the new hyperplane for free, and the other
                        side costs one exact feasibility test, or none when
                        the witness lies on the hyperplane (both sides are
-                       then nonempty)
+                       then nonempty); a central arrangement splits only
+                       the regions on the + side of its first hyperplane
+                       and mirrors them (-C, with witness -w) at the end
   face_of              the closed chamber intersected with one hyperplane,
                        with the set of hyperplanes vanishing on it; facets
                        come from chamber adjacency, further zeros from the
@@ -234,6 +236,11 @@ def enumerate_chambers(A: Arrangement,
     hyperplane H, both sides are nonempty and no test is needed: w +- t n_H
     are strict points of the two sides, where t is half the smallest
     K(w) / |n_K . n_H| over the region's rows K.
+
+    A central arrangement splits only the regions on the + side of its first
+    hyperplane, half the feasibility tests, and adds the mirror image -R,
+    with witness -w, of each region R at the end.  The chamber guard counts
+    both halves.
     """
     m = len(A.hyperplanes)
     cached = A._cache.get("chambers")
@@ -250,9 +257,12 @@ def enumerate_chambers(A: Arrangement,
     if m > limit_h:
         raise GuardExceededError("hyperplane", m, limit_h)
     dim = A.dimension
+    # chambers each region stands for: 2 on a central arrangement, where only
+    # the regions on the + side of H_0 are split and x -> -x gives the rest
+    share = 2 if A.central and A.rows else 1
     # region: (signs, witness numerators, witness denominator, strict rows so far)
     regions = [((), (0,) * dim, 1, [])]
-    for up, down in A.rows:
+    for k, (up, down) in enumerate(A.rows):
         normal = up[:-1]
         new_regions = []
         for signs, nums, den, rows in regions:
@@ -281,9 +291,14 @@ def enumerate_chambers(A: Arrangement,
                 g = gcd(d, *shifted)
                 new_regions.append((signs + (side,), tuple(x // g for x in shifted),
                                     d // g, rows + [(row, ">")]))
-        if len(new_regions) > limit_c:
-            raise GuardExceededError("chamber", len(new_regions), limit_c)
+        if k == 0 and share == 2:
+            del new_regions[1:]  # the origin split H_0: keep its + side
+        if share * len(new_regions) > limit_c:
+            raise GuardExceededError("chamber", share * len(new_regions), limit_c)
         regions = new_regions
+    if share == 2:
+        regions += [(tuple(-s for s in signs), tuple(-x for x in nums), den, None)
+                    for signs, nums, den, _ in regions]
     regions.sort(key=lambda r: tuple(0 if s > 0 else 1 for s in r[0]))
     chambers = tuple(Chamber(signs, tuple(Fraction(x, den) for x in nums))
                      for signs, nums, den, _ in regions)

@@ -30,7 +30,7 @@ from .families import FamilyKind
 from .geometry import (Arrangement, DuplicateHyperplaneError, Hyperplane,
                        InvalidHyperplaneError, enumerate_chambers,
                        factored_determinant_general)
-from .matrix import degree_bound, det_mod, varchenko_matrix_eval
+from .matrix import degree_bound, varchenko_det_mod
 
 DEFAULT_TRIALS = 5
 DEFAULT_SEED = 0
@@ -111,8 +111,7 @@ class DetSource:
         if self.factored is not None:
             return factored_eval(self.factored, assignment, field)
         A = self.arrangement
-        rows = varchenko_matrix_eval(A, enumerate_chambers(A), assignment, field)
-        return det_mod(rows, field.p)
+        return varchenko_det_mod(A, enumerate_chambers(A), assignment, field)
 
 
 def bruteforce_source(A: Arrangement) -> DetSource:

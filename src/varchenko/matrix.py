@@ -6,8 +6,9 @@ hyperplanes separating C1 from C2, and the determinant is computed by
 Gaussian elimination in the field.  Nothing here knows about factorizations.
 
 Matrix entries are memoized per separating set (sign vectors are packed into
-bitmasks, so a pair's separating set is one xor), which makes the build cheap
-even for several hundred chambers.
+bitmasks, so a pair's separating set is one xor), and each new product takes
+one multiply per chunk of 8 hyperplanes, from a table of the chunk's 256
+subproducts.
 
 Elimination stores each row as a single big integer with fixed-width
 slots.  A row operation row_r += (p - f) * row_pivot then becomes one scalar
@@ -15,16 +16,23 @@ multiply and one add of big integers, which CPython executes in C at machine
 speed.  Values are only reduced mod p when read; _slot_bytes sizes the slots
 so that none overflows into its neighbor during a full elimination.
 
-Two kernels share that layout.  The Varchenko matrix is symmetric, so
-det_mod first eliminates it without row swaps on packed upper rows
-(_det_symmetric), about half the digit work of full rows.  The row-pivoting
-kernel (_det_pivoting) takes a matrix that is not symmetric, or one with a
-diagonal pivot 0 mod p, from its original entries.
+Two kernels share that layout.  A symmetric matrix is eliminated without row
+swaps on packed upper rows (_det_symmetric), about half the digit work of
+full rows.  The row-pivoting kernel (_det_pivoting) takes a matrix that is
+not symmetric, or one with a diagonal pivot 0 mod p, from its original
+entries.  det_mod packs a given matrix for them.  varchenko_det_mod, the
+brute-force determinant of the verifiers, never builds the matrix: it joins
+the memoized slot bytes straight into the packed upper rows, with the
+chambers in gallery order (by walls crossed from the first), which leaves
+more of the elimination multipliers zero.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from itertools import repeat
+from operator import itemgetter
+from struct import iter_unpack
+from typing import Iterable, Mapping, Sequence
 
 from .exactalg import FactoredProduct, MissingVariableError, PrimeField
 from .geometry import Arrangement, Chamber
@@ -34,13 +42,11 @@ class MatrixError(ValueError):
     pass
 
 
-def varchenko_matrix_eval(A: Arrangement, chambers: Sequence[Chamber],
-                          assignment: Mapping[str, int],
-                          field: PrimeField) -> list[list[int]]:
-    """The rows of the matrix: entry (i, j) is the product of the assigned
-    weights of the hyperplanes separating chamber i from chamber j, reduced
-    in the field, so the matrix is symmetric with unit diagonal."""
-    p = field.p
+def _weights_and_masks(A: Arrangement, chambers: Sequence[Chamber],
+                       assignment: Mapping[str, int],
+                       p: int) -> tuple[list[int], list[int]]:
+    """The assigned weight of each hyperplane mod p, and each chamber's
+    negative signs as a bitmask, so that a pair's separating set is one xor."""
     weights = []
     for h in A.hyperplanes:
         if h.weight not in assignment:
@@ -48,35 +54,63 @@ def varchenko_matrix_eval(A: Arrangement, chambers: Sequence[Chamber],
         weights.append(assignment[h.weight] % p)
     masks = []
     for c in chambers:
-        if len(c.signs) != len(A.hyperplanes):
+        if len(c.signs) != len(weights):
             raise MatrixError("chamber sign vector does not match the arrangement")
         masks.append(sum(1 << i for i, s in enumerate(c.signs) if s < 0))
+    return weights, masks
 
-    memo = {0: 1}
 
-    def product_for(mask: int) -> int:
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
+class _Products(dict):
+    """Separating-set mask -> product of its hyperplanes' weights mod p.
+
+    A miss costs one multiply per chunk of 8 hyperplanes, read from a table
+    of the chunk's 256 subproducts.  Misses go through __missing__, so the
+    memo holds no reference to itself and is freed with its last user."""
+
+    def __init__(self, weights: Sequence[int], p: int):
+        super().__init__()
+        self.p = p
+        self.tables = []
+        for k in range(0, len(weights), 8):
+            table = [1]
+            for w in weights[k:k + 8]:
+                table += [x * w % p for x in table]
+            self.tables.append(table)
+
+    def _encode(self, product: int):
+        return product
+
+    def __missing__(self, mask: int):
+        p = self.p
         acc = 1
         m = mask
-        while m:
-            low = m & -m
-            acc = acc * weights[low.bit_length() - 1] % p
-            m ^= low
-        memo[mask] = acc
-        return acc
+        for table in self.tables:
+            acc = acc * table[m & 255] % p
+            m >>= 8
+        value = self[mask] = self._encode(acc)
+        return value
 
-    n = len(chambers)
-    rows = [[1] * n for _ in range(n)]
-    for i in range(n):
-        mi = masks[i]
-        row = rows[i]
-        for j in range(i + 1, n):
-            v = product_for(mi ^ masks[j])
-            row[j] = v
-            rows[j][i] = v
-    return rows
+
+class _SlotBytes(_Products):
+    """Separating-set mask -> its product as one little-endian packed slot."""
+
+    def __init__(self, weights: Sequence[int], p: int, wbytes: int):
+        super().__init__(weights, p)
+        self.wbytes = wbytes
+
+    def _encode(self, product: int) -> bytes:
+        return product.to_bytes(self.wbytes, "little")
+
+
+def varchenko_matrix_eval(A: Arrangement, chambers: Sequence[Chamber],
+                          assignment: Mapping[str, int],
+                          field: PrimeField) -> list[list[int]]:
+    """The rows of the matrix: entry (i, j) is the product of the assigned
+    weights of the hyperplanes separating chamber i from chamber j, reduced
+    in the field, so the matrix is symmetric with unit diagonal."""
+    weights, masks = _weights_and_masks(A, chambers, assignment, field.p)
+    products = _Products(weights, field.p)
+    return [list(map(products.__getitem__, map(mi.__xor__, masks))) for mi in masks]
 
 
 # ---------------------------------------------------------------------------
@@ -84,15 +118,19 @@ def varchenko_matrix_eval(A: Arrangement, chambers: Sequence[Chamber],
 # ---------------------------------------------------------------------------
 
 
-def _pack(slots: Sequence[int], wbytes: int) -> int:
+def _pack(slots: Iterable[int], wbytes: int) -> int:
+    """The slots as one int, the first in the lowest wbytes bytes.  Like
+    _unpack, it runs slot by slot in C, through map, with no Python frame
+    per slot."""
     return int.from_bytes(
-        b"".join(s.to_bytes(wbytes, "little") for s in slots), "little")
+        b"".join(map(int.to_bytes, slots, repeat(wbytes), repeat("little"))), "little")
 
 
 def _unpack(row: int, count: int, wbytes: int, p: int) -> list[int]:
+    """The count slots of row, each reduced mod p."""
     data = row.to_bytes(count * wbytes, "little")
-    return [int.from_bytes(data[k * wbytes:(k + 1) * wbytes], "little") % p
-            for k in range(count)]
+    chunks = map(itemgetter(0), iter_unpack(f"{wbytes}s", data))
+    return list(map(p.__rmod__, map(int.from_bytes, chunks, repeat("little"))))
 
 
 def _slot_bytes(n: int, p: int) -> int:
@@ -106,19 +144,19 @@ def _slot_bytes(n: int, p: int) -> int:
     return (2 * p.bit_length() + n.bit_length() + 2 + 7) // 8
 
 
-def _det_symmetric(entries: Sequence[Sequence[int]], p: int) -> int | None:
-    """Determinant of a symmetric matrix mod p by elimination without row
-    swaps, as in LDL^T; None as soon as a diagonal pivot is 0 mod p.
+def _det_symmetric(upper: list[int], wbytes: int, p: int) -> int | None:
+    """Determinant mod p of a symmetric matrix given by its packed upper rows,
+    by elimination without row swaps, as in LDL^T; None as soon as a
+    diagonal pivot is 0 mod p.  Consumes `upper`.
 
-    Without swaps every Schur complement stays symmetric, so row i keeps only
-    its upper part, columns i..n-1, packed with column i in the lowest slot.
-    At pivot k the multiplier of row i is the pivot row's entry in column i,
-    and row i's update is the pivot row's tail from column i on, which is
-    the packed tail shifted right: O(n - i) digits."""
-    n = len(entries)
-    wbytes = _slot_bytes(n, p)
+    Row i holds columns i..n-1, reduced mod p, in slots of wbytes bytes
+    with column i in the lowest slot.  Without swaps every Schur complement
+    stays symmetric, so the rows keep that shape: at pivot k the multiplier
+    of row i is the pivot row's entry in column i, and row i's update is the
+    pivot row's tail from column i on, which is the packed tail shifted
+    right: O(n - i) digits."""
+    n = len(upper)
     wbits = 8 * wbytes
-    upper = [_pack([x % p for x in row[i:]], wbytes) for i, row in enumerate(entries)]
     det = 1
     for k in range(n):
         slots = _unpack(upper[k], n - k, wbytes, p)
@@ -174,20 +212,49 @@ def det_mod(entries: Sequence[Sequence[int]], p: int) -> int:
     """Determinant of a square integer matrix mod the prime p; 0 when
     singular (legitimate at special evaluation points).
 
-    A symmetric matrix, such as every Varchenko matrix, is eliminated by the
-    symmetric kernel at about half the work.  When one of its diagonal
-    pivots is 0 mod p (rare at a large prime), and for any other matrix, the
-    row-pivoting kernel computes the determinant from the original entries."""
+    A symmetric matrix is eliminated by the symmetric kernel at about half
+    the work.  When one of its diagonal pivots is 0 mod p (rare at a large
+    prime), and for any other matrix, the row-pivoting kernel computes the
+    determinant from the original entries."""
     n = len(entries)
     for row in entries:
         if len(row) != n:
             raise MatrixError("matrix is not square")
     # column i equals row i for every i, compared one pair at a time
     if all(map(tuple.__eq__, zip(*entries), map(tuple, entries))):
-        det = _det_symmetric(entries, p)
+        wbytes = _slot_bytes(n, p)
+        det = _det_symmetric([_pack([x % p for x in row[i:]], wbytes)
+                              for i, row in enumerate(entries)], wbytes, p)
         if det is not None:
             return det
     return _det_pivoting(entries, p)
+
+
+def varchenko_det_mod(A: Arrangement, chambers: Sequence[Chamber],
+                      assignment: Mapping[str, int], field: PrimeField) -> int:
+    """det_mod(varchenko_matrix_eval(A, chambers, assignment, field), p),
+    built straight into the packed upper rows of the symmetric kernel.
+
+    The chambers are taken in gallery order, by the number of walls crossed
+    from chambers[0], which leaves more of the elimination multipliers zero
+    than the given order; a simultaneous permutation of rows and columns
+    keeps the determinant.  Row i joins the slot bytes of its entries, each
+    memoized per separating set.  A zero diagonal pivot falls back to the
+    row-pivoting kernel on the matrix in the given order."""
+    p = field.p
+    weights, masks = _weights_and_masks(A, chambers, assignment, p)
+    base = masks[0] if masks else 0
+    masks.sort(key=lambda m: (m ^ base).bit_count())
+    wbytes = _slot_bytes(len(masks), p)
+    slots = _SlotBytes(weights, p, wbytes)
+    upper = [int.from_bytes(b"".join(map(slots.__getitem__, map(mi.__xor__, masks[i:]))),
+                            "little")
+             for i, mi in enumerate(masks)]
+    del slots  # the memo is not needed during elimination; free it first
+    det = _det_symmetric(upper, wbytes, p)
+    if det is None:
+        det = _det_pivoting(varchenko_matrix_eval(A, chambers, assignment, field), p)
+    return det
 
 
 def degree_bound(f: FactoredProduct) -> int:
@@ -198,4 +265,5 @@ def degree_bound(f: FactoredProduct) -> int:
     return sum(2 * e * mono.degree for mono, e in f.factors)
 
 
-__all__ = ["MatrixError", "degree_bound", "det_mod", "varchenko_matrix_eval"]
+__all__ = ["MatrixError", "degree_bound", "det_mod", "varchenko_det_mod",
+           "varchenko_matrix_eval"]

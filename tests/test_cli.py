@@ -254,6 +254,18 @@ def test_chamber_guard_flag(capsys, tmp_path):
     assert "guard" in err
 
 
+@pytest.mark.parametrize("sel,limit,count", [("A:5", 100, 120), ("B:4", 200, 240)])
+def test_chamber_guard_reports_the_full_count(capsys, tmp_path, sel, limit, count):
+    # a central arrangement enumerates half its regions and mirrors them; the
+    # guard still counts both halves, at the insertion step where it trips
+    arr = tmp_path / "arr.txt"
+    arr.write_text(run(capsys, "family", "--kind", sel)[1])
+    for argv in (("chambers",), ("det", "--mode", "bruteforce")):
+        code, _, err = run(capsys, *argv, "--file", str(arr), "--max-chambers", str(limit))
+        assert code == 2
+        assert err == f"error: chamber guard exceeded: reached {count}, limit {limit}\n"
+
+
 def test_chamber_guard_applies_to_cached_chambers(capsys):
     # build_family shares one Arrangement per kind, so the second call finds
     # the chambers cached by the first and must still honor its guard

@@ -20,6 +20,8 @@ from varchenko.geometry import (Arrangement, EmptyFaceError,
                                 factored_determinant_general, multiplicity,
                                 relevant_edges)
 
+from arrangement_strategies import line_key, small_arrangements
+
 
 def braid3():
     # fresh instance per call: arrangement caches are identity-keyed
@@ -259,13 +261,6 @@ def test_face_witness_exactly_realizes_zeros():
                 assert e.containing == f.zeros
 
 
-def _line_key(h):
-    """(normal, offset) divided by the first nonzero normal entry: the same
-    tuple for proportional equations, so one key per affine set."""
-    first = next(a for a in h.normal if a)
-    return tuple(v / first for v in (*h.normal, h.offset))
-
-
 def _cleared(values):
     """Rationals times the lcm of their denominators: an integer form for
     feasible_strict, scaled independently of the geometry's primitive rows."""
@@ -318,27 +313,6 @@ def _check_face_scan_against_reference(A):
 @pytest.mark.parametrize("sel", ["A:3", "B:2", "D:3", "I2:4"])
 def test_face_scan_matches_lp_reference_on_families(sel):
     _check_face_scan_against_reference(kind(sel))
-
-
-@st.composite
-def small_arrangements(draw, max_dim=3):
-    """Integer arrangements in dimension 1-max_dim: central, affine, or
-    affine with a parallel partner drawn for some hyperplanes."""
-    dim = draw(st.integers(1, max_dim))
-    shape = draw(st.sampled_from(["central", "affine", "parallel"]))
-    coef = st.integers(-2, 2)
-    normals = draw(st.lists(st.tuples(*[coef] * dim).filter(any), min_size=1, max_size=4))
-    hyps, keys = [], set()
-    for normal in normals:
-        offsets = [0] if shape == "central" else [draw(coef)]
-        if shape == "parallel" and draw(st.booleans()):
-            offsets.append(draw(coef))
-        for offset in offsets:
-            h = Hyperplane.make(list(normal), offset, f"w{len(hyps)}")
-            if _line_key(h) not in keys:
-                keys.add(_line_key(h))
-                hyps.append(h)
-    return Arrangement(dim, hyps)
 
 
 @given(small_arrangements())
@@ -440,10 +414,12 @@ def test_enumeration_matches_lp_reference_on_random_arrangements(A):
         assert len(calls) <= ref_tests
 
 
-@pytest.mark.parametrize("sel,limit", [("A:6", 2118), ("B:4", 1512)])
+@pytest.mark.parametrize("sel,limit", [("A:5", 135), ("A:6", 1059), ("B:4", 756),
+                                       ("D:4", 268)])
 def test_enumeration_feasibility_call_budget(sel, limit, monkeypatch):
-    # one test per candidate sign made 2,898 (A:6) and 1,984 (B:4) calls; a
-    # fresh instance, because the family's chambers may be cached already
+    # one test per candidate sign made 2,898 (A:6) and 1,984 (B:4) calls, and
+    # splitting both antipodal halves 270, 2,118, 1,512 and 536; a fresh
+    # instance, because the family's chambers may be cached already
     family = kind(sel)
     A = Arrangement(family.dimension, family.hyperplanes)
     calls = []
@@ -451,6 +427,16 @@ def test_enumeration_feasibility_call_budget(sel, limit, monkeypatch):
     enumerate_chambers(A)
     # enumeration must keep calling the traced name, or its counters go dark
     assert 0 < len(calls) <= limit
+
+
+@given(small_arrangements(max_dim=4, shapes=("central",)))
+@settings(max_examples=100, deadline=None)
+def test_central_chambers_mirror_with_negated_witnesses(A):
+    chambers = enumerate_chambers(A)
+    index = {c.signs: c for c in chambers}
+    for c in chambers:
+        mirror = index[tuple(-s for s in c.signs)]
+        assert mirror.witness == tuple(-x for x in c.witness)
 
 
 def test_empty_face_signal_for_affine_arrangement():
@@ -558,9 +544,9 @@ def test_pivot_independence_on_random_central_arrangements(normals):
     hyps, seen = [], set()
     for k, normal in enumerate(normals):
         h = Hyperplane.make(list(normal), 0, f"w{k}")
-        if _line_key(h) in seen:
+        if line_key(h) in seen:
             continue
-        seen.add(_line_key(h))
+        seen.add(line_key(h))
         hyps.append(h)
     if len(hyps) < 2:
         return

@@ -1,9 +1,11 @@
+import gc
+
 import pytest
 
 from varchenko.closedform import formula_A, formula_D, formula_I2
-from varchenko.exactalg import DEFAULT_PRIME, NotPrimeError
+from varchenko.exactalg import DEFAULT_PRIME, NotPrimeError, PrimeField
 from varchenko.families import FamilyKind, build_family
-from varchenko.geometry import factored_determinant_general
+from varchenko.geometry import Arrangement, factored_determinant_general
 from varchenko.harness import (SOURCES, DetSource, ParseError, bruteforce_source,
                                compare_factored, draw_nonzero,
                                parse_arrangement_file, source,
@@ -80,6 +82,24 @@ def test_verify_geometric_vs_bruteforce_braid4():
         bruteforce_source(A), trials=5, subject="A:4")
     assert report.verdict == "PASS"
     assert len(report.trials) == 5
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 7])
+def test_bruteforce_value_leaves_no_cyclic_garbage(p):
+    # every object of a trial is freed by reference counting as soon as the
+    # trial ends, so a long run never waits on the cyclic collector for its
+    # memos; at p = 7 the zero-pivot fallback runs too
+    A = Arrangement(3, kind("B:3").hyperplanes)
+    field = PrimeField(p)
+    gc.collect()
+    gc.disable()
+    try:
+        for trial in range(3):
+            bruteforce_source(A).value_at(
+                trial_assignment(A.weight_names(), 0, trial, p), field)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_verify_printed_d2_formula_fails_with_witness():

@@ -10,7 +10,9 @@ from varchenko.families import FamilyKind, build_family
 from varchenko.geometry import enumerate_chambers
 from varchenko.harness import trial_assignment
 from varchenko.matrix import (MatrixError, degree_bound, det_mod,
-                              varchenko_matrix_eval)
+                              varchenko_det_mod, varchenko_matrix_eval)
+
+from arrangement_strategies import small_arrangements
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -87,9 +89,9 @@ def test_separating_set_length_mismatch():
     # chamber (3 signs) is undefined and the matrix build must refuse it
     A, B = kind("A:3"), kind("B:2")
     assignment = {w: 2 for w in A.weight_names()}
-    with pytest.raises(MatrixError):
-        varchenko_matrix_eval(A, [enumerate_chambers(A)[0], enumerate_chambers(B)[0]],
-                              assignment, F)
+    for build in (varchenko_matrix_eval, varchenko_det_mod):
+        with pytest.raises(MatrixError):
+            build(A, [enumerate_chambers(A)[0], enumerate_chambers(B)[0]], assignment, F)
 
 
 @given(st.data())
@@ -162,8 +164,9 @@ def test_d2_matrix_is_tensor_product():
 
 def test_matrix_missing_weight():
     A = kind("A:3")
-    with pytest.raises(MissingVariableError):
-        varchenko_matrix_eval(A, enumerate_chambers(A), {"q_{1,2}": 1}, F)
+    for build in (varchenko_matrix_eval, varchenko_det_mod):
+        with pytest.raises(MissingVariableError):
+            build(A, enumerate_chambers(A), {"q_{1,2}": 1}, F)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +271,50 @@ def test_varchenko_matrices_take_the_symmetric_kernel(monkeypatch):
     f = formula_B(3)
     for trial in range(3):
         assignment = trial_assignment(A.weight_names(), 0, trial, F.p)
+        assert varchenko_det_mod(A, ch, assignment, F) == factored_eval(f, assignment, F)
+
+
+@pytest.mark.parametrize("sel", ["A:2", "A:3", "A:4", "A:5", "B:2", "B:3", "B:4",
+                                 "D:3", "D:4", "I2:5", "I2:8"])
+def test_varchenko_det_mod_equals_det_mod_of_the_matrix(sel):
+    A = kind(sel)
+    ch = enumerate_chambers(A)
+    for trial in range(2):
+        assignment = trial_assignment(A.weight_names(), 0, trial, F.p)
         M = varchenko_matrix_eval(A, ch, assignment, F)
-        assert det_mod(M, F.p) == factored_eval(f, assignment, F)
+        assert varchenko_det_mod(A, ch, assignment, F) == det_mod(M, F.p)
+
+
+@given(small_arrangements(max_dim=4), st.sampled_from([7, 10007, DEFAULT_PRIME]),
+       st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_varchenko_det_mod_matches_on_random_arrangements(A, p, seed):
+    # affine, parallel and central; at p = 7 zero pivots and zero
+    # determinants are common
+    field = PrimeField(p)
+    ch = enumerate_chambers(A)
+    assignment = trial_assignment(A.weight_names(), seed, 0, p)
+    M = varchenko_matrix_eval(A, ch, assignment, field)
+    assert varchenko_det_mod(A, ch, assignment, field) == _det_simple(M, p)
+
+
+def test_varchenko_det_mod_zero_pivot_falls_back(monkeypatch):
+    # A:3 at p = 7, trial 0: a diagonal pivot vanishes in gallery order, yet
+    # the determinant is 2, so only the row-pivoting fallback can compute it
+    calls = []
+    pivoting = matrix._det_pivoting
+
+    def counting(entries, p):
+        calls.append(len(entries))
+        return pivoting(entries, p)
+
+    monkeypatch.setattr(matrix, "_det_pivoting", counting)
+    A, field = kind("A:3"), PrimeField(7)
+    ch = enumerate_chambers(A)
+    assignment = trial_assignment(A.weight_names(), 0, 0, field.p)
+    det = varchenko_det_mod(A, ch, assignment, field)
+    assert calls == [6]
+    assert det == _det_simple(varchenko_matrix_eval(A, ch, assignment, field), field.p) == 2
 
 
 # ---------------------------------------------------------------------------
