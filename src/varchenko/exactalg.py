@@ -107,7 +107,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for every n < 3.3e24 (covers word size)."""
+    """Deterministic Miller-Rabin on the prime bases 2-37, exact for every
+    n < psi_12 = 318665857834031151167461 (about 3.2e23), the least strong
+    pseudoprime to all twelve; that covers PrimeField's moduli below 2^63."""
     if n < 2:
         return False
     for p in _MR_BASES:

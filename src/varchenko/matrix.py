@@ -16,15 +16,15 @@ multiply and one add of big integers, which CPython executes in C at machine
 speed.  Values are only reduced mod p when read; _slot_bytes sizes the slots
 so that none overflows into its neighbor during a full elimination.
 
-Two kernels share that layout.  A symmetric matrix is eliminated without row
-swaps on packed upper rows (_det_symmetric), about half the digit work of
-full rows.  The row-pivoting kernel (_det_pivoting) takes a matrix that is
-not symmetric, or one with a diagonal pivot 0 mod p, from its original
-entries.  det_mod packs a given matrix for them.  varchenko_det_mod, the
-brute-force determinant of the verifiers, never builds the matrix: it joins
-the memoized slot bytes straight into the packed upper rows, with the
-chambers in gallery order (by walls crossed from the first), which leaves
-more of the elimination multipliers zero.
+Two kernels share that layout.  The row-pivoting kernel (_det_pivoting)
+takes any square matrix from its entries; det_mod is that kernel.  The
+symmetric kernel (_det_symmetric) eliminates without row swaps on packed
+upper rows, about half the digit work of full rows.  varchenko_det_mod, the
+brute-force determinant of the verifiers, is its one caller: it never
+builds the matrix, but joins the memoized slot bytes straight into the
+packed upper rows, with the chambers in gallery order (by walls crossed from
+the first), which leaves more of the elimination multipliers zero.  A
+diagonal pivot 0 mod p sends it to the row-pivoting kernel.
 """
 
 from __future__ import annotations
@@ -60,16 +60,18 @@ def _weights_and_masks(A: Arrangement, chambers: Sequence[Chamber],
     return weights, masks
 
 
-class _Products(dict):
-    """Separating-set mask -> product of its hyperplanes' weights mod p.
+class _SlotBytes(dict):
+    """Separating-set mask -> product of its hyperplanes' weights mod p, as
+    one little-endian slot of wbytes bytes.
 
     A miss costs one multiply per chunk of 8 hyperplanes, read from a table
     of the chunk's 256 subproducts.  Misses go through __missing__, so the
     memo holds no reference to itself and is freed with its last user."""
 
-    def __init__(self, weights: Sequence[int], p: int):
+    def __init__(self, weights: Sequence[int], p: int, wbytes: int):
         super().__init__()
         self.p = p
+        self.wbytes = wbytes
         self.tables = []
         for k in range(0, len(weights), 8):
             table = [1]
@@ -77,29 +79,26 @@ class _Products(dict):
                 table += [x * w % p for x in table]
             self.tables.append(table)
 
-    def _encode(self, product: int):
-        return product
-
-    def __missing__(self, mask: int):
+    def __missing__(self, mask: int) -> bytes:
         p = self.p
         acc = 1
         m = mask
         for table in self.tables:
             acc = acc * table[m & 255] % p
             m >>= 8
-        value = self[mask] = self._encode(acc)
+        value = self[mask] = acc.to_bytes(self.wbytes, "little")
         return value
 
 
-class _SlotBytes(_Products):
-    """Separating-set mask -> its product as one little-endian packed slot."""
-
-    def __init__(self, weights: Sequence[int], p: int, wbytes: int):
-        super().__init__(weights, p)
-        self.wbytes = wbytes
-
-    def _encode(self, product: int) -> bytes:
-        return product.to_bytes(self.wbytes, "little")
+def _joined_rows(weights: Sequence[int], masks: Sequence[int], p: int,
+                 wbytes: int, upper: bool) -> list[int]:
+    """Row i of the matrix as one packed int, joined from the memoized slot
+    bytes: columns i..n-1 if upper, else all n.  The memo dies on return."""
+    slots = _SlotBytes(weights, p, wbytes)
+    return [int.from_bytes(b"".join(map(slots.__getitem__,
+                                        map(mi.__xor__, masks[i:] if upper else masks))),
+                           "little")
+            for i, mi in enumerate(masks)]
 
 
 def varchenko_matrix_eval(A: Arrangement, chambers: Sequence[Chamber],
@@ -108,9 +107,12 @@ def varchenko_matrix_eval(A: Arrangement, chambers: Sequence[Chamber],
     """The rows of the matrix: entry (i, j) is the product of the assigned
     weights of the hyperplanes separating chamber i from chamber j, reduced
     in the field, so the matrix is symmetric with unit diagonal."""
-    weights, masks = _weights_and_masks(A, chambers, assignment, field.p)
-    products = _Products(weights, field.p)
-    return [list(map(products.__getitem__, map(mi.__xor__, masks))) for mi in masks]
+    p = field.p
+    weights, masks = _weights_and_masks(A, chambers, assignment, p)
+    n = len(masks)
+    wbytes = _slot_bytes(n, p)
+    return [_unpack(row, n, wbytes, p)
+            for row in _joined_rows(weights, masks, p, wbytes, upper=False)]
 
 
 # ---------------------------------------------------------------------------
@@ -210,23 +212,11 @@ def _det_pivoting(entries: Sequence[Sequence[int]], p: int) -> int:
 
 def det_mod(entries: Sequence[Sequence[int]], p: int) -> int:
     """Determinant of a square integer matrix mod the prime p; 0 when
-    singular (legitimate at special evaluation points).
-
-    A symmetric matrix is eliminated by the symmetric kernel at about half
-    the work.  When one of its diagonal pivots is 0 mod p (rare at a large
-    prime), and for any other matrix, the row-pivoting kernel computes the
-    determinant from the original entries."""
+    singular (legitimate at special evaluation points)."""
     n = len(entries)
     for row in entries:
         if len(row) != n:
             raise MatrixError("matrix is not square")
-    # column i equals row i for every i, compared one pair at a time
-    if all(map(tuple.__eq__, zip(*entries), map(tuple, entries))):
-        wbytes = _slot_bytes(n, p)
-        det = _det_symmetric([_pack([x % p for x in row[i:]], wbytes)
-                              for i, row in enumerate(entries)], wbytes, p)
-        if det is not None:
-            return det
     return _det_pivoting(entries, p)
 
 
@@ -238,20 +228,14 @@ def varchenko_det_mod(A: Arrangement, chambers: Sequence[Chamber],
     The chambers are taken in gallery order, by the number of walls crossed
     from chambers[0], which leaves more of the elimination multipliers zero
     than the given order; a simultaneous permutation of rows and columns
-    keeps the determinant.  Row i joins the slot bytes of its entries, each
-    memoized per separating set.  A zero diagonal pivot falls back to the
+    keeps the determinant.  A zero diagonal pivot falls back to the
     row-pivoting kernel on the matrix in the given order."""
     p = field.p
     weights, masks = _weights_and_masks(A, chambers, assignment, p)
     base = masks[0] if masks else 0
     masks.sort(key=lambda m: (m ^ base).bit_count())
     wbytes = _slot_bytes(len(masks), p)
-    slots = _SlotBytes(weights, p, wbytes)
-    upper = [int.from_bytes(b"".join(map(slots.__getitem__, map(mi.__xor__, masks[i:]))),
-                            "little")
-             for i, mi in enumerate(masks)]
-    del slots  # the memo is not needed during elimination; free it first
-    det = _det_symmetric(upper, wbytes, p)
+    det = _det_symmetric(_joined_rows(weights, masks, p, wbytes, upper=True), wbytes, p)
     if det is None:
         det = _det_pivoting(varchenko_matrix_eval(A, chambers, assignment, field), p)
     return det

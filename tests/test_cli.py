@@ -243,6 +243,21 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                "--rhs", "bruteforce")[0] == 2
 
 
+@pytest.mark.parametrize("text,message", [
+    ("dim 2\nhyperplane 1 0 0 a\nhyperplane 0 0 1 b\n",
+     "line 3: hyperplane 'b' has zero normal"),
+    ("dim 2\nhyperplane 1 0 0 a\nhyperplane 0 1 0 q_{2,1}\n",
+     "line 3: 'q_{2,1}': pair indices must satisfy 1 <= i < j"),
+    ("dim 2\ndim 2\nhyperplane 1 0 0 a\n", "line 2: duplicate dim directive"),
+])
+def test_file_errors_exit_two_with_their_line(capsys, tmp_path, text, message):
+    arr = tmp_path / "arr.txt"
+    arr.write_text(text)
+    for argv in (("chambers",), ("verify", "--lhs", "geometric", "--rhs", "bruteforce")):
+        code, out, err = run(capsys, *argv, "--file", str(arr))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_chamber_guard_flag(capsys, tmp_path):
     # file input parses a fresh arrangement, so the guard trips while the
     # chambers are being enumerated

@@ -59,7 +59,13 @@ def test_user_identifiers_allowed():
 def test_primality_check():
     assert is_prime(2) and is_prime(DEFAULT_PRIME) and is_prime(10**9 + 7)
     assert not is_prime(1) and not is_prime(4) and not is_prime(2**61 + 1)
-    for bad in (4, 1, 0, -7, 1 << 63):
+    # 10009 - 1 = 2^3 * 1251 and 65537 - 1 = 2^16, so each base squares
+    # its way to n - 1; 3215031751 fools the bases 2-7 and
+    # 3825123056546413051 the bases 2-31, so a later base must reject them
+    assert is_prime(10009) and is_prime(65537)
+    assert not is_prime(41 * 43)
+    assert not is_prime(3215031751) and not is_prime(3825123056546413051)
+    for bad in (4, 1, 0, -7, 1 << 63, 1763):
         with pytest.raises(NotPrimeError):
             PrimeField(bad)
 

@@ -146,6 +146,10 @@ def test_hyperplane_guard():
     A = Arrangement(2, [Hyperplane.make([1, k], 0, f"w{k}") for k in range(5)])
     with pytest.raises(GuardExceededError):
         enumerate_chambers(A, max_hyperplanes=4)
+    # the chambers cached under the default guard must not lift a smaller one
+    assert len(enumerate_chambers(A)) == 10
+    with pytest.raises(GuardExceededError, match="reached 5, limit 4"):
+        enumerate_chambers(A, max_hyperplanes=4)
 
 
 def test_chamber_guard_carries_count():

@@ -3,7 +3,8 @@ import gc
 import pytest
 
 from varchenko.closedform import formula_A, formula_D, formula_I2
-from varchenko.exactalg import DEFAULT_PRIME, NotPrimeError, PrimeField
+from varchenko.exactalg import (DEFAULT_PRIME, FactoredProduct, NotPrimeError,
+                                PrimeField)
 from varchenko.families import FamilyKind, build_family
 from varchenko.geometry import Arrangement, factored_determinant_general
 from varchenko.harness import (SOURCES, DetSource, ParseError, bruteforce_source,
@@ -149,6 +150,27 @@ def test_report_fields_and_error_bound():
     assert report.factored_diff is None  # one side is not factored
     obj = report.to_json_obj()
     assert obj["verdict"] == "PASS" and obj["trial_count"] == 5
+
+
+def test_error_bound_decimal_at_the_extremes():
+    # an empty product has degree 0, so no trial can pass by accident
+    empty = DetSource("formula", factored=FactoredProduct(()))
+    note = verify_identity(empty, empty, trials=2).error_bound_note()
+    assert note == {"per_trial": f"0/{DEFAULT_PRIME}",
+                    "all_trials": f"(0/{DEFAULT_PRIME})^2", "decimal": "0"}
+    # a degree bound of at least the prime bounds nothing
+    A, k = kind("A:3"), FamilyKind.parse("A:3")
+    report = verify_identity(source("formula", A, k), bruteforce_source(A), prime=7)
+    note = report.error_bound_note()
+    assert (note["per_trial"], note["decimal"]) == ("18/7", "1")
+
+
+def test_det_source_is_exactly_one_kind():
+    A = kind("A:3")
+    with pytest.raises(ValueError, match="either factored or an arrangement"):
+        DetSource("neither")
+    with pytest.raises(ValueError, match="either factored or an arrangement"):
+        DetSource("both", factored=formula_A(3), arrangement=A)
 
 
 def test_factored_diff_attached_when_both_sides_factored():

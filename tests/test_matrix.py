@@ -233,22 +233,34 @@ def _symmetric(upper_entries, n):
     return rows
 
 
+def _symmetric_kernel(rows, p):
+    """_det_symmetric on the rows packed into upper rows."""
+    wbytes = matrix._slot_bytes(len(rows), p)
+    upper = [matrix._pack([x % p for x in row[i:]], wbytes) for i, row in enumerate(rows)]
+    return matrix._det_symmetric(upper, wbytes, p)
+
+
 @given(st.integers(1, 8), st.sampled_from([5, 7, 13, 10007, DEFAULT_PRIME]), st.data())
 @settings(max_examples=150)
 def test_symmetric_det_agrees_with_simple(n, p, data):
-    # from dense to mostly zeros, so that zero diagonal pivots occur and
-    # det_mod falls back to the row-pivoting kernel on a share of the examples
+    # from dense to mostly zeros, so that zero diagonal pivots occur and the
+    # symmetric kernel refuses a share of the examples
     zeros = data.draw(st.integers(0, 2))
     entry = st.one_of([st.just(0)] * zeros + [st.integers(-p, 2 * p)])
     rows = _symmetric(data.draw(st.lists(entry, min_size=n * (n + 1) // 2,
                                          max_size=n * (n + 1) // 2)), n)
-    assert det_mod(rows, p) == _det_simple([row[:] for row in rows], p)
+    expect = _det_simple([row[:] for row in rows], p)
+    assert det_mod(rows, p) == expect
+    assert _symmetric_kernel(rows, p) in (None, expect)
 
 
 @pytest.mark.parametrize("p", [5, 7, 13, 10007, DEFAULT_PRIME])
 def test_symmetric_det_zero_first_pivot(p):
-    # nonsingular with a zero first pivot: only the fallback can compute it
-    assert det_mod([[0, 1], [1, 0]], p) == p - 1
+    # nonsingular with a zero first pivot, which the symmetric kernel refuses
+    # and the row-pivoting kernel computes
+    rows = [[0, 1], [1, 0]]
+    assert _symmetric_kernel(rows, p) is None
+    assert det_mod(rows, p) == p - 1
     assert det_mod([[1, 1], [1, 1]], p) == 0
 
 
