@@ -11,13 +11,13 @@ from .exactalg import (DEFAULT_PRIME, FactoredProduct, Monomial, PrimeField,
                        factored_eval, factored_specialize_all)
 from .families import FamilyKind, build_family, chambers_combinatorial
 from .feasibility import feasible_strict
-from .geometry import (Arrangement, Chamber, Edge, Face, Hyperplane,
-                       canonical_edge, enumerate_chambers, face_of,
+from .geometry import (Arrangement, Chamber, Edge, Hyperplane, canonical_edge,
+                       enumerate_chambers, face_of,
                        factored_determinant_general, multiplicity,
                        relevant_edges)
 from .harness import (SOURCES, DetSource, FactoredDiff, VerificationReport,
-                      bruteforce_source, compare_factored,
-                      parse_arrangement_file, source, verify_identity)
+                      compare_factored, parse_arrangement_file, source,
+                      verify_identity)
 from .matrix import (degree_bound, det_mod, varchenko_det_mod,
                      varchenko_matrix_eval)
 

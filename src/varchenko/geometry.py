@@ -7,7 +7,7 @@ computes once (Arrangement.rows) and also uses for its duplicate check and
 its centrality flag (Arrangement.central).  Points are integer numerators
 over one common denominator, so a sign test is one integer dot product, and
 feasible_strict takes and returns that format.
-Fractions remain only in the witnesses handed out here.
+Fractions remain only in the chamber witnesses handed out here.
 The pipeline:
 
   enumerate_chambers   incremental insertion; a region's witness decides one
@@ -17,8 +17,8 @@ The pipeline:
                        then nonempty); a central arrangement splits only
                        the regions on the + side of its first hyperplane
                        and mirrors them (-C, with witness -w) at the end
-  face_of              the closed chamber intersected with one hyperplane,
-                       with the set of hyperplanes vanishing on it; facets
+  face_of              the zero set of the closed chamber intersected with
+                       one hyperplane: the hyperplanes vanishing on it; facets
                        come from chamber adjacency, further zeros from the
                        elimination basis of those already found, and one
                        feasibility test decides each remaining hyperplane;
@@ -49,7 +49,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .exactalg import (FactoredProduct, InternalConsistencyError, Monomial,
                        validate_var)
-from .feasibility import _assign, _at, feasible_strict
+from .feasibility import _at, feasible_strict
 
 DEFAULT_MAX_HYPERPLANES = 32
 DEFAULT_MAX_CHAMBERS = 6000
@@ -201,16 +201,6 @@ class Chamber:
 
 
 @dataclass(frozen=True)
-class Face:
-    """Closed chamber intersected with one hyperplane (the pivot)."""
-
-    chamber_index: int
-    pivot: int
-    zeros: frozenset[int]
-    relint_witness: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class Edge:
     """Nonempty intersection of hyperplanes, closed under implied ones."""
 
@@ -303,7 +293,6 @@ def enumerate_chambers(A: Arrangement,
     chambers = tuple(Chamber(signs, tuple(Fraction(x, den) for x in nums))
                      for signs, nums, den, _ in regions)
     A._cache["chambers"] = chambers
-    A._cache["witnesses"] = tuple((nums, den) for _, nums, den, _ in regions)
     A._cache["chamber_index"] = {c.signs: i for i, c in enumerate(chambers)}
     return chambers
 
@@ -387,29 +376,26 @@ def canonical_edge(A: Arrangement, subset: Iterable[int]) -> Edge:
 # ---------------------------------------------------------------------------
 
 
-def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> Face:
-    """The face (closure of the chamber) intersect (hyperplane h).
+def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> frozenset[int]:
+    """The zeros of the face (closure of the chamber) intersect (hyperplane h):
+    every hyperplane vanishing identically on it, h included.
 
-    zeros collects every hyperplane vanishing identically on the face: i is a
-    zero iff {H_h = 0, all chamber inequalities weakened, sign_i H_i strict}
-    is infeasible.  The tests run on H_h through the reduced rows: each
-    chamber row is reduced against H_h's once, which clears H_h's pivot
+    i is a zero iff {H_h = 0, all chamber inequalities weakened, sign_i H_i
+    strict} is infeasible.  The tests run on H_h through the reduced rows:
+    each chamber row is reduced against H_h's once, which clears H_h's pivot
     column and keeps the row's sign on H_h, so feasible_strict decides
-    inequalities only and its witnesses have 0 in that column.  The
-    relative-interior witness is the average of the witnesses of the
-    feasible tests, which by convexity is strict off zeros, lifted onto H_h
-    along the pivot column.  Raises EmptyFaceError when the closed chamber
-    misses H_h (possible only for non-central arrangements).
+    inequalities only.  Raises EmptyFaceError when the closed chamber misses
+    H_h (possible only for non-central arrangements).
 
     Exact shortcuts spare most feasibility tests:
       * the face is a facet (zeros {h}) iff the chamber with sign h flipped
-        exists; the segment between the two witnesses is strict on every
-        other hyperplane, so where it crosses H_h is a relative-interior point;
+        exists;
       * on a central arrangement the origin lies in every closed face, so it
         serves as the base point and the face is never empty;
       * a hyperplane containing the flat cut out by the zeros found so far
         contains the face, so it is a zero without a test;
-      * a hyperplane strict at the running witness average is not a zero.
+      * a hyperplane strict at the average of the feasible tests' witnesses,
+        a point of the face by convexity, is not a zero.
     """
     ci = chamber_index(A, chamber)
     if not (0 <= h < len(A.hyperplanes)):
@@ -417,22 +403,13 @@ def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> Face:
     signs = A._cache["chambers"][ci].signs  # enumerated by chamber_index
     dim = A.dimension
     rows = A.rows
-    eq_h = rows[h][0]
 
     flipped = signs[:h] + (-signs[h],) + signs[h + 1:]
-    cj = A._cache["chamber_index"].get(flipped)
-    if cj is not None:
-        # p = P / dp and q = Q / dq; the point (b p - a q) / (b - a) for the
-        # values a, b of H_h at p, q lies on H_h
-        witnesses = A._cache["witnesses"]
-        (P, dp), (Q, dq) = witnesses[ci], witnesses[cj]
-        a, b = _at(eq_h, P, dp), _at(eq_h, Q, dq)
-        den = b * dp - a * dq
-        return Face(ci, h, frozenset([h]),
-                    tuple(Fraction(b * x - a * y, den) for x, y in zip(P, Q)))
+    if flipped in A._cache["chamber_index"]:
+        return frozenset([h])
 
     basis: list[tuple[int, list[int]]] = []
-    _extend_basis(basis, eq_h, dim)
+    _extend_basis(basis, rows[h][0], dim)
     sides = {i: _reduce_row(rows[i][s < 0], basis) for i, s in enumerate(signs) if i != h}
     weak = [(side, ">=") for side in sides.values()]
     if A.central:
@@ -462,11 +439,7 @@ def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> Face:
             wn, wd = wi
             nums = tuple(x * wd + y * den for x, y in zip(nums, wn))
             den *= wd
-    # lift the average onto H_h along the pivot column
-    col, row_h = basis[0]
-    den *= k
-    nums, den = _assign(nums, den, col, Fraction(-_at(row_h, nums, den), row_h[col]))
-    return Face(ci, h, frozenset(zeros), tuple(Fraction(x, den) for x in nums))
+    return frozenset(zeros)
 
 
 def _face_edge_table(A: Arrangement) -> dict:
@@ -489,7 +462,7 @@ def _face_edge_table(A: Arrangement) -> dict:
                 table[(ci, h)] = table[(anti, h)]
                 continue
             try:
-                table[(ci, h)] = face_of(A, ci, h).zeros
+                table[(ci, h)] = face_of(A, ci, h)
             except EmptyFaceError:
                 table[(ci, h)] = None
     A._cache["face_table"] = table
@@ -536,9 +509,6 @@ def relevant_edges(A: Arrangement) -> list[Edge]:
     A face's zeros set is already closed (any hyperplane containing the
     generated edge contains the face), which canonical_edge re-verifies.
     """
-    cached = A._cache.get("relevant_edges")
-    if cached is not None:
-        return list(cached)
     table = _face_edge_table(A)
     keys = {z for z in table.values() if z is not None}
     edges = []
@@ -552,7 +522,6 @@ def relevant_edges(A: Arrangement) -> list[Edge]:
             raise InternalConsistencyError(
                 f"face-generated edge {sorted(zeros)} has multiplicity 0")
         edges.append(Edge(e.containing, e.dim, e.weight_monomial, mult))
-    A._cache["relevant_edges"] = tuple(edges)
     return edges
 
 
@@ -564,7 +533,7 @@ def factored_determinant_general(A: Arrangement) -> FactoredProduct:
 
 
 __all__ = [
-    "Arrangement", "Chamber", "Edge", "Face", "Hyperplane",
+    "Arrangement", "Chamber", "Edge", "Hyperplane",
     "DuplicateHyperplaneError", "EmptyFaceError", "EmptyIntersectionError",
     "GeometryError", "GuardExceededError", "InternalConsistencyError",
     "InvalidHyperplaneError",

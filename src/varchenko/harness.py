@@ -114,10 +114,6 @@ class DetSource:
         return varchenko_det_mod(A, enumerate_chambers(A), assignment, field)
 
 
-def bruteforce_source(A: Arrangement) -> DetSource:
-    return DetSource("bruteforce", arrangement=A)
-
-
 SOURCES = ("formula", "geometric", "bruteforce")
 
 
@@ -132,7 +128,7 @@ def source(name: str, A: Arrangement, kind: Optional[FamilyKind] = None) -> DetS
     if name == "geometric":
         return DetSource(name, factored=factored_determinant_general(A))
     if name == "bruteforce":
-        return bruteforce_source(A)
+        return DetSource(name, arrangement=A)
     raise ValueError(f"unknown source {name!r} (expected one of {', '.join(SOURCES)})")
 
 
@@ -357,7 +353,6 @@ def parse_arrangement_file(text: str) -> Arrangement:
 __all__ = [
     "DEFAULT_SEED", "DEFAULT_TRIALS", "DetSource", "FactoredDiff",
     "ParseError", "SOURCES", "SplitMix64", "Trial", "VerificationReport",
-    "bruteforce_source", "compare_factored", "draw_nonzero",
-    "parse_arrangement_file", "source", "trial_assignment", "trial_stream",
-    "verify_identity",
+    "compare_factored", "draw_nonzero", "parse_arrangement_file", "source",
+    "trial_assignment", "trial_stream", "verify_identity",
 ]

@@ -17,14 +17,15 @@ speed.  Values are only reduced mod p when read; _slot_bytes sizes the slots
 so that none overflows into its neighbor during a full elimination.
 
 Two kernels share that layout.  The row-pivoting kernel (_det_pivoting)
-takes any square matrix from its entries; det_mod is that kernel.  The
-symmetric kernel (_det_symmetric) eliminates without row swaps on packed
-upper rows, about half the digit work of full rows.  varchenko_det_mod, the
-brute-force determinant of the verifiers, is its one caller: it never
-builds the matrix, but joins the memoized slot bytes straight into the
-packed upper rows, with the chambers in gallery order (by walls crossed from
-the first), which leaves more of the elimination multipliers zero.  A
-diagonal pivot 0 mod p sends it to the row-pivoting kernel.
+takes packed full rows of any square matrix; det_mod packs its entries for
+it.  The symmetric kernel (_det_symmetric) eliminates without row swaps on
+packed upper rows, about half the digit work of full rows.
+varchenko_det_mod, the brute-force determinant of the verifiers, is its one
+caller: it never builds the matrix, but joins the memoized slot bytes
+straight into the packed upper rows, with the chambers in gallery order (by
+walls crossed from the first), which leaves more of the elimination
+multipliers zero.  A diagonal pivot 0 mod p sends it to the row-pivoting
+kernel, on full rows joined the same way.
 """
 
 from __future__ import annotations
@@ -175,14 +176,13 @@ def _det_symmetric(upper: list[int], wbytes: int, p: int) -> int | None:
     return det
 
 
-def _det_pivoting(entries: Sequence[Sequence[int]], p: int) -> int:
-    """Determinant of any square matrix mod p by elimination with
-    nonzero-pivot search over full packed rows."""
-    n = len(entries)
-    wbytes = _slot_bytes(n, p)
+def _det_pivoting(packed: list[int], wbytes: int, p: int) -> int:
+    """Determinant mod p of the square matrix given by its packed full rows,
+    slots below p, by elimination with nonzero-pivot search.  Consumes
+    `packed`."""
+    n = len(packed)
     wbits = 8 * wbytes
     mask = (1 << wbits) - 1
-    packed = [_pack([x % p for x in row], wbytes) for row in entries]
     det = 1
     for _ in range(n):
         piv_at = None
@@ -217,7 +217,9 @@ def det_mod(entries: Sequence[Sequence[int]], p: int) -> int:
     for row in entries:
         if len(row) != n:
             raise MatrixError("matrix is not square")
-    return _det_pivoting(entries, p)
+    wbytes = _slot_bytes(n, p)
+    return _det_pivoting([_pack([x % p for x in row], wbytes) for row in entries],
+                         wbytes, p)
 
 
 def varchenko_det_mod(A: Arrangement, chambers: Sequence[Chamber],
@@ -229,7 +231,7 @@ def varchenko_det_mod(A: Arrangement, chambers: Sequence[Chamber],
     from chambers[0], which leaves more of the elimination multipliers zero
     than the given order; a simultaneous permutation of rows and columns
     keeps the determinant.  A zero diagonal pivot falls back to the
-    row-pivoting kernel on the matrix in the given order."""
+    row-pivoting kernel on the full rows, joined in the same order."""
     p = field.p
     weights, masks = _weights_and_masks(A, chambers, assignment, p)
     base = masks[0] if masks else 0
@@ -237,7 +239,7 @@ def varchenko_det_mod(A: Arrangement, chambers: Sequence[Chamber],
     wbytes = _slot_bytes(len(masks), p)
     det = _det_symmetric(_joined_rows(weights, masks, p, wbytes, upper=True), wbytes, p)
     if det is None:
-        det = _det_pivoting(varchenko_matrix_eval(A, chambers, assignment, field), p)
+        det = _det_pivoting(_joined_rows(weights, masks, p, wbytes, upper=False), wbytes, p)
     return det
 
 

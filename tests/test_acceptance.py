@@ -23,7 +23,7 @@ from varchenko.exactalg import Monomial, factored_specialize_all
 from varchenko.families import FamilyKind, build_family, chambers_combinatorial
 from varchenko.geometry import (canonical_edge, enumerate_chambers, face_of,
                                 factored_determinant_general, multiplicity)
-from varchenko.harness import (DetSource, bruteforce_source, compare_factored,
+from varchenko.harness import (DetSource, compare_factored, source,
                                verify_identity)
 
 PRIME = (1 << 61) - 1
@@ -44,13 +44,14 @@ def geometric_vs_bruteforce(sel: str, trials=TRIALS):
     A = kind(sel)
     return verify_identity(
         DetSource("geometric", factored=factored_determinant_general(A)),
-        bruteforce_source(A), trials=trials, prime=PRIME, seed=SEED, subject=sel)
+        source("bruteforce", A), trials=trials, prime=PRIME, seed=SEED, subject=sel)
 
 
 def formula_vs_bruteforce(sel: str, trials=TRIALS, prime=PRIME, seed=SEED):
     k = FamilyKind.parse(sel)
     return verify_identity(
-        DetSource("formula", factored=formula(k)), bruteforce_source(build_family(k)),
+        DetSource("formula", factored=formula(k)),
+        source("bruteforce", build_family(k)),
         trials=trials, prime=prime, seed=seed, subject=sel)
 
 
@@ -176,7 +177,7 @@ def test_criterion_7_multiplicity_engine_properties():
         for pivot in range(len(A.hyperplanes)):
             counts = {}
             for ci in range(len(chambers)):
-                z = face_of(A, ci, pivot).zeros
+                z = face_of(A, ci, pivot)
                 counts[z] = counts.get(z, 0) + 1
             assert sum(counts.values()) == len(chambers)  # the map is total
             for zeros, count in counts.items():
@@ -220,7 +221,7 @@ def test_criterion_9_deterministic_reports(module_env):
     in_process = [
         verify_identity(
             DetSource("formula", factored=formula_I2(6)),
-            bruteforce_source(kind("I2:6")),
+            source("bruteforce", kind("I2:6")),
             trials=TRIALS, prime=PRIME, seed=42, subject="I2:6").to_json()
         for _ in range(2)
     ]

@@ -217,52 +217,39 @@ def test_face_wall_of_braid_chamber():
     ch = enumerate_chambers(A)
     c = ch[0]  # signs (+,+,+): x1 > x2 > x3
     assert c.signs == (1, 1, 1)
-    f = face_of(A, c, 0)
-    assert f.zeros == frozenset({0})
+    assert face_of(A, c, 0) == frozenset({0})
 
 
 def test_face_interval_collapse():
     A = braid3()
     c = enumerate_chambers(A)[0]
-    f = face_of(A, c, 1)  # x1 = x3 forces x1 = x2 = x3 inside the closure
-    assert f.zeros == frozenset({0, 1, 2})
+    # x1 = x3 forces x1 = x2 = x3 inside the closure
+    assert face_of(A, c, 1) == frozenset({0, 1, 2})
 
 
 def test_face_d2_ray():
     D2 = kind("D:2")
     chamber = next(c for c in enumerate_chambers(D2)
                    if c.signs == (1, 1))  # x1 > |x2|
-    f = face_of(D2, chamber, 0)
-    assert f.zeros == frozenset({0})
-    w = f.relint_witness
-    assert D2.hyperplanes[0].value_at(w) == 0
-    assert D2.hyperplanes[1].value_at(w) > 0
+    assert face_of(D2, chamber, 0) == frozenset({0})
 
 
 def test_face_rejects_chamber_index_out_of_range():
     A = braid3()
-    assert face_of(A, 5, 0).chamber_index == 5
+    assert face_of(A, 5, 0) == face_of(A, enumerate_chambers(A)[5], 0)
     for bad in (-1, 6, 99):
         with pytest.raises(GeometryError, match="chamber index"):
             face_of(A, bad, 0)
 
 
-def test_face_witness_exactly_realizes_zeros():
-    # witness lies on every zero hyperplane and strictly off every other;
-    # with closure of the zeros set this pins dim(face) = dim(edge)
+def test_face_zeros_are_closed():
+    # every hyperplane containing the edge a face spans vanishes on the face
     for sel in ("A:3", "B:2", "D:3", "I2:4"):
         A = kind(sel)
-        for ci, c in enumerate(enumerate_chambers(A)):
+        for ci in range(len(enumerate_chambers(A))):
             for h in range(len(A.hyperplanes)):
-                f = face_of(A, ci, h)
-                for i, hp in enumerate(A.hyperplanes):
-                    v = hp.value_at(f.relint_witness)
-                    if i in f.zeros:
-                        assert v == 0
-                    else:
-                        assert c.signs[i] * v > 0
-                e = canonical_edge(A, f.zeros)
-                assert e.containing == f.zeros
+                zeros = face_of(A, ci, h)
+                assert canonical_edge(A, zeros).containing == zeros
 
 
 def _cleared(values):
@@ -306,12 +293,8 @@ def _check_face_scan_against_reference(A):
             if zeros is None:
                 with pytest.raises(EmptyFaceError):
                     face_of(A, ci, h)
-                continue
-            f = face_of(A, ci, h)
-            assert f.zeros == zeros
-            for i, hp in enumerate(A.hyperplanes):
-                v = hp.value_at(f.relint_witness)
-                assert v == 0 if i in zeros else c.signs[i] * v > 0
+            else:
+                assert face_of(A, ci, h) == zeros
 
 
 @pytest.mark.parametrize("sel", ["A:3", "B:2", "D:3", "I2:4"])
@@ -523,7 +506,7 @@ def test_partition_identity():
         for pivot in range(len(A.hyperplanes)):
             seen = {}
             for ci in range(n_chambers):
-                z = face_of(A, ci, pivot).zeros
+                z = face_of(A, ci, pivot)
                 seen[z] = seen.get(z, 0) + 1
             assert sum(seen.values()) == n_chambers
             for z, count in seen.items():
@@ -561,7 +544,7 @@ def test_pivot_independence_on_random_central_arrangements(normals):
     for pivot in range(len(hyps)):
         counts = {}
         for ci in range(n_chambers):
-            z = face_of(A, ci, pivot).zeros
+            z = face_of(A, ci, pivot)
             counts[z] = counts.get(z, 0) + 1
         assert sum(counts.values()) == n_chambers
         assert all(c % 2 == 0 for c in counts.values())

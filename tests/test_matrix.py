@@ -274,7 +274,7 @@ def test_det_tuple_rows_equal_list_rows():
 
 
 def test_varchenko_matrices_take_the_symmetric_kernel(monkeypatch):
-    def refuse(entries, p):
+    def refuse(packed, wbytes, p):
         raise AssertionError("row-pivoting kernel called on a Varchenko matrix")
 
     monkeypatch.setattr(matrix, "_det_pivoting", refuse)
@@ -316,9 +316,9 @@ def test_varchenko_det_mod_zero_pivot_falls_back(monkeypatch):
     calls = []
     pivoting = matrix._det_pivoting
 
-    def counting(entries, p):
-        calls.append(len(entries))
-        return pivoting(entries, p)
+    def counting(packed, wbytes, p):
+        calls.append(len(packed))
+        return pivoting(packed, wbytes, p)
 
     monkeypatch.setattr(matrix, "_det_pivoting", counting)
     A, field = kind("A:3"), PrimeField(7)
