@@ -5,6 +5,11 @@ Exit codes: 0 success / verification PASS, 1 verification FAIL, 2 usage or
 input error.  All machine-readable output is JSON on stdout; family,
 chambers and edges also have a plain-text form (the default), and the text
 form of `family` is itself a valid arrangement file.
+
+`COMMANDS` is the one place where a command's name, help, arguments and
+handler live.  A call builds the parser of the command it runs alone: the
+full parser, about four times the work, is built only for -h and for a
+missing or unknown command.
 """
 
 from __future__ import annotations
@@ -50,13 +55,24 @@ def _prime_chambers(A: Arrangement, args) -> None:
                        max_chambers=getattr(args, "max_chambers", None))
 
 
+def _guard_limit(text: str) -> int:
+    # argparse prefixes the message with the flag's name
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_subject_args(sub, with_guards: bool = True) -> None:
     sub.add_argument("--kind", help="family selector A:n, B:n, D:n or I2:m")
     sub.add_argument("--file", help="arrangement file path")
     if with_guards:
-        sub.add_argument("--max-hyperplanes", type=int, dest="max_hyperplanes",
+        sub.add_argument("--max-hyperplanes", type=_guard_limit, dest="max_hyperplanes",
                          help="override the hyperplane-count guard")
-        sub.add_argument("--max-chambers", type=int, dest="max_chambers",
+        sub.add_argument("--max-chambers", type=_guard_limit, dest="max_chambers",
                          help="override the chamber-count guard")
 
 
@@ -201,24 +217,19 @@ def cmd_verify(args) -> int:
     return 0 if report.passed() else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="varchenko",
-        description="Exact toolkit for weighted hyperplane arrangements and "
-                    "their factored matrix determinants.")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("family", help="describe an arrangement")
+def _add_family(p) -> None:
     _add_subject_args(p, with_guards=False)
     p.add_argument("--emit", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_family)
 
-    p = subs.add_parser("chambers", help="list chambers with sign vectors")
+
+def _add_chambers(p) -> None:
     _add_subject_args(p)
     p.add_argument("--emit", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_chambers)
 
-    p = subs.add_parser("edges", help="list relevant edges with multiplicities")
+
+def _add_edges(p) -> None:
     _add_subject_args(p)
     p.add_argument("--combinatorial", action="store_true",
                    help="family model with the printed multiplicities "
@@ -226,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_edges)
 
-    p = subs.add_parser("det", help="determinant, factored or one evaluation")
+
+def _add_det(p) -> None:
     _add_subject_args(p)
     p.add_argument("--mode", choices=("factored", "bruteforce"), required=True)
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
@@ -234,17 +246,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assign", help="JSON file mapping weight names to integers")
     p.set_defaults(func=cmd_det)
 
-    p = subs.add_parser("formula", help="closed-form factored determinant")
+
+def _add_formula(p) -> None:
     p.add_argument("--kind", required=True)
     p.add_argument("--specialize", metavar="VAR",
                    help="collapse all weights to one variable")
     p.set_defaults(func=cmd_formula)
 
-    p = subs.add_parser("zagier", help="single-variable specialized formula")
+
+def _add_zagier(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_zagier)
 
-    p = subs.add_parser("verify", help="compare two determinant representations")
+
+def _add_verify(p) -> None:
     _add_subject_args(p)
     p.add_argument("--lhs", choices=SOURCES, required=True)
     p.add_argument("--rhs", choices=SOURCES, required=True)
@@ -253,11 +268,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)
 
+
+# name -> (help, function adding the subparser's arguments and handler);
+# the order is the order of the full parser's help
+COMMANDS = {
+    "family": ("describe an arrangement", _add_family),
+    "chambers": ("list chambers with sign vectors", _add_chambers),
+    "edges": ("list relevant edges with multiplicities", _add_edges),
+    "det": ("determinant, factored or one evaluation", _add_det),
+    "formula": ("closed-form factored determinant", _add_formula),
+    "zagier": ("single-variable specialized formula", _add_zagier),
+    "verify": ("compare two determinant representations", _add_verify),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with every command, or with `command`'s alone."""
+    parser = argparse.ArgumentParser(
+        prog="varchenko",
+        description="Exact toolkit for weighted hyperplane arrangements and "
+                    "their factored matrix determinants.")
+    if command is None:
+        subs = parser.add_subparsers(dest="command", required=True)
+    else:
+        # the usage line still names every command, so top-level errors read
+        # as the full parser's; the full parser keeps argparse's own metavar,
+        # as setting it changes the "invalid choice" and "required" messages
+        subs = parser.add_subparsers(dest="command", required=True,
+                                     metavar="{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if command is None else (command,):
+        help_text, add_arguments = COMMANDS[name]
+        add_arguments(subs.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # -h, a missing and an unknown command need the full parser
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

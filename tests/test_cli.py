@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from varchenko import geometry
-from varchenko.cli import build_parser, main
+from varchenko.cli import COMMANDS, build_parser, main
 from varchenko.closedform import formula_A, formula_D, zagier
 from varchenko.exactalg import factored_specialize_all
 from varchenko.harness import SOURCES, parse_arrangement_file
@@ -227,6 +227,48 @@ def test_verify_source_choices_are_the_harness_sources():
                   if isinstance(a.choices, dict)).choices["verify"]
     choices = {a.dest: a.choices for a in verify._actions if a.dest in ("lhs", "rhs")}
     assert choices == {"lhs": SOURCES, "rhs": SOURCES}
+
+
+def _subcommands(parser):
+    return list(next(a for a in parser._actions if isinstance(a.choices, dict)).choices)
+
+
+def test_parser_builds_the_named_command_alone():
+    assert _subcommands(build_parser()) == [
+        "family", "chambers", "edges", "det", "formula", "zagier", "verify"]
+    assert _subcommands(build_parser("verify")) == ["verify"]
+
+
+SUBJECT = ("--kind", "A:3")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], *([name, "-h"] for name in COMMANDS), ["nosuch"],
+    ["det", *SUBJECT, "--mode", "factored", "extra"],
+    ["verify", *SUBJECT, "--lhs", "nosuch", "--rhs", "bruteforce"],
+    ["verify", *SUBJECT, "--lhs", "formula", "--rhs", "bruteforce", "--trials", "x"],
+    ["det", *SUBJECT],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_parses_as_the_full_parser(capsys, argv):
+    # main builds only the invoked command's parser; exits, help and
+    # errors must be those of the parser with every command
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as one:
+        main(argv)
+    got = capsys.readouterr()
+    assert (one.value.code, got.out, got.err) == (full.value.code, expected.out, expected.err)
+
+
+@pytest.mark.parametrize("flag,value", [("--max-chambers", "-1"),
+                                        ("--max-hyperplanes", "0")])
+def test_guard_flags_reject_values_below_one(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["chambers", *SUBJECT, flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: must be at least 1, got {value}\n")
 
 
 def test_usage_errors_exit_two(capsys, tmp_path):

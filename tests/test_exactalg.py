@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varchenko.exactalg import (DEFAULT_PRIME, BadVariableNameError,
+from varchenko.exactalg import (_MR_BASES, DEFAULT_PRIME, BadVariableNameError,
                                 ExactAlgError, FactoredProduct, MissingVariableError,
                                 Monomial, NotPrimeError, PrimeField,
                                 factored_eval, factored_specialize_all,
@@ -68,6 +69,54 @@ def test_primality_check():
     for bad in (4, 1, 0, -7, 1 << 63, 1763):
         with pytest.raises(NotPrimeError):
             PrimeField(bad)
+
+
+def _is_prime_12_bases(n):
+    """Reference: Miller-Rabin on the prime bases 2-37, exact below
+    psi_12 = 318665857834031151167461, the least strong pseudoprime to all."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_factors(n):
+    factors, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            factors.add(p)
+            n //= p
+        p += 1
+    return factors | ({n} if n > 1 else set())
+
+
+def test_is_prime_matches_the_12_base_reference():
+    # the seven bases skip a base that n divides, so the primes dividing a
+    # base (73 divides 28178) are the cases a missing reduction gets wrong
+    divisors = set().union(*(_prime_factors(a) for a in _MR_BASES))
+    assert 73 in divisors
+    rng = random.Random(20141106)
+    odd = [rng.randrange(1, 1 << 62) | 1 for _ in range(20000)]
+    for n in [*range(-2, 200000), *odd, 561, 41041, 3215031751,
+              3825123056546413051, *divisors]:
+        assert is_prime(n) == _is_prime_12_bases(n), n
 
 
 @given(st.fractions(), st.fractions(), st.fractions())
