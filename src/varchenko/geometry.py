@@ -10,13 +10,13 @@ feasible_strict takes and returns that format.
 Fractions remain only in the chamber witnesses handed out here.
 The pipeline:
 
-  enumerate_chambers   incremental insertion; a region's witness decides one
-                       side of the new hyperplane for free, and the other
-                       side costs one exact feasibility test, or none when
-                       the witness lies on the hyperplane (both sides are
-                       then nonempty); a central arrangement splits only
-                       the regions on the + side of its first hyperplane
-                       and mirrors them (-C, with witness -w) at the end
+  enumerate_chambers   incremental insertion by deletion-restriction, with
+                       no feasibility test: the new hyperplane H cuts the
+                       regions that hold a chamber of the restriction to
+                       H, enumerated one dimension down, whose witness on
+                       H gives both sides' witnesses; a central arrangement
+                       splits only the regions on the + side of its first
+                       hyperplane and mirrors them (-C, witness -w) at the end
   face_of              the zero set of the closed chamber intersected with
                        one hyperplane: the hyperplanes vanishing on it; facets
                        come from chamber adjacency, further zeros from the
@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .exactalg import (FactoredProduct, InternalConsistencyError, Monomial,
@@ -220,17 +221,19 @@ def enumerate_chambers(A: Arrangement,
                        max_chambers: Optional[int] = None) -> tuple[Chamber, ...]:
     """All chambers of A, sorted lexicographically on signs with + before -.
 
-    Incremental insertion: the regions of the first k hyperplanes are split
-    by hyperplane k+1.  A region's witness w decides one side for free, and
-    the other side costs one exact feasibility test.  When w lies on the new
-    hyperplane H, both sides are nonempty and no test is needed: w +- t n_H
-    are strict points of the two sides, where t is half the smallest
-    K(w) / |n_K . n_H| over the region's rows K.
+    Incremental insertion by deletion-restriction (Zaslavsky), in integer
+    arithmetic and with no feasibility test: H = H_{k+1} cuts a region of
+    the first k hyperplanes exactly when the region holds a chamber of
+    their restriction to H, enumerated the same way one dimension down.
+    That chamber's witness, lifted onto H, is a point y of the region, and
+    y +- t n_H are strict points of its two sides, where t is half the
+    smallest |K(y)| / |n_K . n_H| over the rows K.  A region that H does
+    not cut keeps the side of its witness.
 
-    A central arrangement splits only the regions on the + side of its first
-    hyperplane, half the feasibility tests, and adds the mirror image -R,
-    with witness -w, of each region R at the end.  The chamber guard counts
-    both halves.
+    A central arrangement, at every level of the recursion, splits only the
+    regions on the + side of its first hyperplane and adds the mirror image
+    -R, with witness -w, of each region R at the end.  The chamber guard
+    counts both halves and is checked after each insertion.
     """
     m = len(A.hyperplanes)
     cached = A._cache.get("chambers")
@@ -246,55 +249,99 @@ def enumerate_chambers(A: Arrangement,
     limit_c = DEFAULT_MAX_CHAMBERS if max_chambers is None else max_chambers
     if m > limit_h:
         raise GuardExceededError("hyperplane", m, limit_h)
-    dim = A.dimension
-    # chambers each region stands for: 2 on a central arrangement, where only
-    # the regions on the + side of H_0 are split and x -> -x gives the rest
-    share = 2 if A.central and A.rows else 1
-    # region: (signs, witness numerators, witness denominator, strict rows so far)
-    regions = [((), (0,) * dim, 1, [])]
-    for k, (up, down) in enumerate(A.rows):
-        normal = up[:-1]
-        new_regions = []
-        for signs, nums, den, rows in regions:
-            v = _at(up, nums, den)
-            if v:
-                side = 1 if v > 0 else -1
-                new_regions.append((signs + (side,), nums, den,
-                                    rows + [(up if side > 0 else down, ">")]))
-                far = rows + [(down if side > 0 else up, ">")]
-                w = feasible_strict(far, dim)
-                if w is not None:
-                    new_regions.append((signs + (-side,), *w, far))
-                continue
-            # w lies on H: t = q / (2 den), q the smallest den K(w) / |n_K . n_H|
-            q = None
-            for K, _ in rows:
-                c = abs(sum(a * b for a, b in zip(K, normal)))
-                if c:
-                    kw = _at(K, nums, den)
-                    if q is None or kw * q[1] < q[0] * c:
-                        q = (kw, c)
-            qn, qd = q or (1, 1)
-            for side, row in ((1, up), (-1, down)):
-                shifted = [2 * qd * x + side * qn * a for x, a in zip(nums, normal)]
-                d = 2 * qd * den
-                g = gcd(d, *shifted)
-                new_regions.append((signs + (side,), tuple(x // g for x in shifted),
-                                    d // g, rows + [(row, ">")]))
-        if k == 0 and share == 2:
-            del new_regions[1:]  # the origin split H_0: keep its + side
-        if share * len(new_regions) > limit_c:
-            raise GuardExceededError("chamber", share * len(new_regions), limit_c)
-        regions = new_regions
-    if share == 2:
-        regions += [(tuple(-s for s in signs), tuple(-x for x in nums), den, None)
-                    for signs, nums, den, _ in regions]
+    regions = _regions([up for up, _ in A.rows], A.dimension, limit_c)
     regions.sort(key=lambda r: tuple(0 if s > 0 else 1 for s in r[0]))
     chambers = tuple(Chamber(signs, tuple(Fraction(x, den) for x in nums))
-                     for signs, nums, den, _ in regions)
+                     for signs, nums, den in regions)
     A._cache["chambers"] = chambers
     A._cache["chamber_index"] = {c.signs: i for i, c in enumerate(chambers)}
     return chambers
+
+
+def _regions(rows: list, dim: int, limit: Optional[int] = None,
+             half: bool = False) -> list:
+    """The regions of the pairwise non-proportional primitive integer rows
+    in Q^dim, each as (signs, witness numerators, witness denominator).
+
+    On a central arrangement the regions on the + side of rows[0] come
+    first and their mirror images after; `half` returns the first half
+    alone.  `limit` is the chamber guard, None for none.
+    """
+    central = bool(rows) and not any(r[-1] for r in rows)
+    share = 2 if central else 1
+    regions = [((), (0,) * dim, 1)]
+    for k, H in enumerate(rows):
+        normal = H[:-1]
+        known = rows[:k]
+        restricted, source, b, col = _restriction(known, H, dim)
+        p, rest = b[col], b[:col] + b[col + 1:]
+        on_h = {}
+        for sub, nums, den in _regions(restricted, dim - 1, half=central):
+            # lift onto H: p x_col = -(b . x without column col)
+            y = [p * x for x in nums]
+            y.insert(col, -sum(map(mul, rest, nums)) - rest[-1] * den)
+            on_h[tuple(o if j is None else o * sub[j] for j, o in source)] = y, p * den
+        dots = [abs(sum(map(mul, K, normal))) for K in known]
+        new_regions = []
+        for signs, nums, den in regions:
+            cut = on_h.get(signs)
+            if cut is None:
+                side = 1 if sum(map(mul, H, nums)) + H[-1] * den > 0 else -1
+                new_regions.append((signs + (side,), nums, den))
+                continue
+            # t = qn / (2 qd den), qn / qd the smallest |den K(y)| / |n_K . n_H|
+            nums, den = cut
+            q = None
+            for K, c in zip(known, dots):
+                if c:
+                    kw = abs(sum(map(mul, K, nums)) + K[-1] * den)
+                    if q is None or kw * q[1] < q[0] * c:
+                        q = (kw, c)
+            qn, qd = q or (1, 1)
+            for side in (1, -1):
+                shifted = [2 * qd * x + side * qn * a for x, a in zip(nums, normal)]
+                d = 2 * qd * den
+                g = gcd(d, *shifted)
+                new_regions.append((signs + (side,), tuple(x // g for x in shifted), d // g))
+        if k == 0 and central:
+            del new_regions[1:]  # the origin split H_0: keep its + side
+        if limit is not None and share * len(new_regions) > limit:
+            raise GuardExceededError("chamber", share * len(new_regions), limit)
+        regions = new_regions
+    if central and not half:
+        regions += [(tuple(-s for s in signs), tuple(-x for x in nums), den)
+                    for signs, nums, den in regions]
+    return regions
+
+
+def _restriction(rows: list, H: Sequence[int], dim: int):
+    """The arrangement the integer rows cut on the hyperplane of the row H.
+
+    H's first pivot column col is cleared from each row by one integer
+    combination that keeps the row's sign on H, then dropped, and the row
+    made primitive.  Returns the restricted rows, pairwise non-proportional,
+    and per source row (j, o): o times restricted row j has the source
+    row's sign on H, or j is None and the row is parallel to H, of constant
+    sign o.  Also H's primitive row b with a positive pivot, and col.
+    """
+    basis: list[tuple[int, list[int]]] = []
+    _extend_basis(basis, list(H), dim)
+    col, b = basis[0]
+    restricted, index, source = [], {}, []
+    for K in rows:
+        r = _reduce_row(K, basis)
+        del r[col]
+        g = gcd(*r)
+        r = tuple(v // g for v in r)
+        if not any(r[:-1]):
+            source.append((None, r[-1]))
+            continue
+        if r not in index:
+            index[r] = len(restricted), 1
+            index[tuple(-v for v in r)] = len(restricted), -1
+            restricted.append(r)
+        source.append(index[r])
+    return restricted, source, b, col
 
 
 def chamber_index(A: Arrangement, chamber: Union[Chamber, int]) -> int:

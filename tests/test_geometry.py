@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import lcm
 from unittest import mock
@@ -351,14 +352,12 @@ def _enumerate_chambers_lp(A):
     against.  A region's witness decides the side it lies on for free; every
     other candidate sign of a region costs one test.
 
-    Returns the sign vectors in enumerate_chambers order and the number of
-    feasibility tests.
+    Returns the sign vectors in enumerate_chambers order.
     """
     def side(hp, s):
         return _cleared(tuple(s * a for a in hp.normal) + (-s * hp.offset,)), ">"
 
     regions = [((), (Fraction(0),) * A.dimension, [])]
-    tests = 0
     for hp in A.hyperplanes:
         split = []
         for signs, witness, rows in regions:
@@ -369,7 +368,6 @@ def _enumerate_chambers_lp(A):
                 if cand == s:
                     split.append((signs + (cand,), witness, cand_rows))
                     continue
-                tests += 1
                 w = feasible_strict(cand_rows, A.dimension)
                 if w is not None:
                     nums, den = w
@@ -377,13 +375,11 @@ def _enumerate_chambers_lp(A):
                                   cand_rows))
         regions = split
     signs = sorted((r[0] for r in regions), key=lambda sv: tuple(0 if s > 0 else 1 for s in sv))
-    return signs, tests
+    return signs
 
 
-@given(small_arrangements(max_dim=4))
-@settings(max_examples=150, deadline=None)
-def test_enumeration_matches_lp_reference_on_random_arrangements(A):
-    ref_signs, ref_tests = _enumerate_chambers_lp(A)
+def _check_enumeration_against_reference(A):
+    ref_signs = _enumerate_chambers_lp(A)
     calls = []
     with mock.patch.object(geometry, "feasible_strict", _counting(calls)):
         chambers = enumerate_chambers(A)
@@ -391,29 +387,128 @@ def test_enumeration_matches_lp_reference_on_random_arrangements(A):
     for c in chambers:
         for s, hp in zip(c.signs, A.hyperplanes):
             assert s * hp.value_at(c.witness) > 0
-    # Both enumerators split the same regions, and a split whose witness lies
-    # on the new hyperplane costs the reference two tests and this one none.
-    # Enumeration starts at the origin, so a first hyperplane through it is
-    # such a split.
-    if A.hyperplanes[0].offset == 0:
-        assert len(calls) < ref_tests
-    else:
-        assert len(calls) <= ref_tests
+    # deletion-restriction enumerates without a feasibility test
+    assert calls == []
 
 
-@pytest.mark.parametrize("sel,limit", [("A:5", 135), ("A:6", 1059), ("B:4", 756),
-                                       ("D:4", 268)])
-def test_enumeration_feasibility_call_budget(sel, limit, monkeypatch):
-    # one test per candidate sign made 2,898 (A:6) and 1,984 (B:4) calls, and
-    # splitting both antipodal halves 270, 2,118, 1,512 and 536; a fresh
-    # instance, because the family's chambers may be cached already
+@given(small_arrangements(max_dim=4))
+@settings(max_examples=150, deadline=None)
+def test_enumeration_matches_lp_reference_on_random_arrangements(A):
+    _check_enumeration_against_reference(A)
+
+
+def _seeded_arrangement(rng, shape):
+    """A random integer arrangement of dimension 1-6 with up to 8
+    hyperplanes, coefficients in [-3, 3], of the given shape:
+      generic   normals and offsets drawn freely (central or not);
+      lineality normals vanish on a random set of coordinates, so the
+                arrangement is not essential;
+      pencil    three or more hyperplanes through one codimension-2 flat,
+                so restrictions to them coincide, plus free ones;
+      parallel  families of hyperplanes sharing a normal.
+    """
+    dim = rng.randint(2 if shape == "pencil" else 1, 6)
+    central = rng.random() < 0.4
+    free = list(range(dim))
+    if shape == "lineality" and dim > 1:
+        free = rng.sample(free, rng.randint(1, dim - 1))
+
+    def row():
+        while True:
+            n = [rng.randint(-3, 3) if j in free else 0 for j in range(dim)]
+            if any(n):
+                return n + [0 if central else rng.randint(-3, 3)]
+
+    rows = []
+    if shape == "pencil":
+        P, Q = row(), row()
+        for a, b in rng.sample([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)],
+                               rng.randint(3, 5)):
+            rows.append([a * x + b * y for x, y in zip(P, Q)])
+    for _ in range(rng.randint(1, 8)):
+        n = row()
+        rows.append(n)
+        if shape == "parallel":
+            rows += [n[:-1] + [rng.randint(-3, 3)] for _ in range(rng.randint(1, 2))]
+    hyps, keys = [], set()
+    for r in rows:
+        if len(hyps) == 8:
+            break
+        if not any(r[:-1]):
+            continue
+        h = Hyperplane.make(r[:-1], -r[-1], f"w{len(hyps)}")
+        if line_key(h) not in keys:
+            keys.add(line_key(h))
+            hyps.append(h)
+    return Arrangement(dim, hyps)
+
+
+@pytest.mark.parametrize("shape", ["generic", "lineality", "pencil", "parallel"])
+def test_enumeration_matches_lp_reference_on_seeded_arrangements(shape):
+    rng = random.Random(f"enumeration-{shape}")
+    for _ in range(40):
+        _check_enumeration_against_reference(_seeded_arrangement(rng, shape))
+
+
+@pytest.mark.parametrize("sel,fm_budget", [("A:5", 135), ("A:6", 1059), ("B:4", 756),
+                                           ("D:4", 268)])
+def test_enumeration_feasibility_call_budget(sel, fm_budget, monkeypatch):
+    # Fourier-Motzkin enumeration was held to fm_budget feasibility tests
+    # (one test per candidate sign made 2,898 on A:6 and 1,984 on B:4);
+    # deletion-restriction makes none.  A fresh instance, because the
+    # family's chambers may be cached already.
     family = kind(sel)
     A = Arrangement(family.dimension, family.hyperplanes)
     calls = []
     monkeypatch.setattr(geometry, "feasible_strict", _counting(calls))
     enumerate_chambers(A)
-    # enumeration must keep calling the traced name, or its counters go dark
-    assert 0 < len(calls) <= limit
+    assert calls == []
+
+
+def test_restriction_marks_parallel_rows_with_a_constant_sign():
+    # on x = 0: x - 1 is -1 and x + 2 is +2 everywhere; y is a hyperplane
+    restricted, source, b, col = geometry._restriction(
+        [(1, 0, -1), (1, 0, 2), (0, 1, 0)], (1, 0, 0), 2)
+    assert (b, col) == ([1, 0, 0], 0)
+    assert restricted == [(1, 0)]
+    assert source == [(None, -1), (None, 1), (0, 1)]
+
+
+def test_restriction_merges_coincident_rows_with_their_orientation():
+    # on x = 1, given as -x + 1 = 0: y - x, 2y - x - 1 and x - y restrict to
+    # y - 1 = 0, the last with the opposite sign; x + y restricts to y + 1
+    restricted, source, b, col = geometry._restriction(
+        [(-1, 1, 0), (-1, 2, -1), (1, -1, 0), (1, 1, 0)], (-1, 0, 1), 2)
+    assert (b, col) == ([1, 0, -1], 0)
+    assert restricted == [(1, -1), (1, 1)]
+    assert source == [(0, 1), (0, 1), (0, -1), (1, 1)]
+
+
+def _guard_parity_subject(sel):
+    if sel == "affine":
+        return Arrangement(2, [Hyperplane.make(n, c, w) for n, c, w in (
+            ([1, 0], 0, "a"), ([1, 0], 1, "b"), ([0, 1], 0, "c"),
+            ([1, 1], 2, "d"), ([1, -1], 0, "e"), ([0, 1], -1, "f"))])
+    family = kind(sel)
+    return Arrangement(family.dimension, family.hyperplanes)
+
+
+@pytest.mark.parametrize("sel", ["A:5", "B:4", "affine"])
+def test_chamber_guard_count_is_the_first_prefix_over_the_limit(sel):
+    # every region of the first k hyperplanes contains a chamber of A, so the
+    # reference's sign vectors cut to length k count that prefix's regions
+    A = _guard_parity_subject(sel)
+    ref_signs = _enumerate_chambers_lp(A)
+    prefix_counts = [len({s[:k] for s in ref_signs}) for k in range(1, len(A.hyperplanes) + 1)]
+    for limit in sorted({1, 2, 3, 5, 10, 50, 100, len(ref_signs) - 1}):
+        if limit >= len(ref_signs):
+            continue
+        count = next(c for c in prefix_counts if c > limit)
+        with pytest.raises(GuardExceededError) as exc:
+            enumerate_chambers(_guard_parity_subject(sel), max_chambers=limit)
+        assert (exc.value.count, exc.value.limit) == (count, limit)
+        assert str(exc.value) == f"chamber guard exceeded: reached {count}, limit {limit}"
+    assert len(enumerate_chambers(A, max_chambers=len(ref_signs))) == len(ref_signs)
 
 
 @given(small_arrangements(max_dim=4, shapes=("central",)))
