@@ -13,8 +13,10 @@ subproducts.
 Elimination stores each row as a single big integer with fixed-width
 slots.  A row operation row_r += (p - f) * row_pivot then becomes one scalar
 multiply and one add of big integers, which CPython executes in C at machine
-speed.  Values are only reduced mod p when read; _slot_bytes sizes the slots
-so that none overflows into its neighbor during a full elimination.
+speed.  _slot_bytes sizes the slots so that none overflows into its neighbor
+during a full elimination.  Slots grow unreduced; each pivot row is reduced
+mod p once, in all its slots at once, by a Barrett reduction on the packed
+integer (_reducer), with no per-slot division.
 
 Two kernels share that layout.  The row-pivoting kernel (_det_pivoting)
 takes packed full rows of any square matrix; det_mod packs its entries for
@@ -33,7 +35,7 @@ from __future__ import annotations
 from itertools import repeat
 from operator import itemgetter
 from struct import iter_unpack
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactalg import FactoredProduct, MissingVariableError, PrimeField
 from .geometry import Arrangement, Chamber
@@ -112,7 +114,7 @@ def varchenko_matrix_eval(A: Arrangement, chambers: Sequence[Chamber],
     weights, masks = _weights_and_masks(A, chambers, assignment, p)
     n = len(masks)
     wbytes = _slot_bytes(n, p)
-    return [_unpack(row, n, wbytes, p)
+    return [_unpack(row, n, wbytes)
             for row in _joined_rows(weights, masks, p, wbytes, upper=False)]
 
 
@@ -129,11 +131,11 @@ def _pack(slots: Iterable[int], wbytes: int) -> int:
         b"".join(map(int.to_bytes, slots, repeat(wbytes), repeat("little"))), "little")
 
 
-def _unpack(row: int, count: int, wbytes: int, p: int) -> list[int]:
-    """The count slots of row, each reduced mod p."""
+def _unpack(row: int, count: int, wbytes: int) -> list[int]:
+    """The count slots of row."""
     data = row.to_bytes(count * wbytes, "little")
     chunks = map(itemgetter(0), iter_unpack(f"{wbytes}s", data))
-    return list(map(p.__rmod__, map(int.from_bytes, chunks, repeat("little"))))
+    return list(map(int.from_bytes, chunks, repeat("little")))
 
 
 def _slot_bytes(n: int, p: int) -> int:
@@ -142,9 +144,38 @@ def _slot_bytes(n: int, p: int) -> int:
     In both kernels a slot starts at most p - 1, and each elimination step
     adds (p - f) * t <= (p - 1)^2 to it (f and t are reduced and f is
     nonzero), at most n times.  So a slot stays at most
-    p - 1 + n * (p - 1)^2 < 2^(2 * bitlen(p) + bitlen(n) + 1) and never
-    carries into its neighbor."""
+    p - 1 + n * (p - 1)^2 < 2^(2 * bitlen(p) + bitlen(n)) <= 2^(W - 2), with
+    W = 8 * wbytes bits a slot: it never carries into its neighbor, and its
+    top bit stays clear, which _reducer needs (as it needs 2p < 2^(W - 1))."""
     return (2 * p.bit_length() + n.bit_length() + 2 + 7) // 8
+
+
+def _reducer(n: int, wbytes: int, p: int) -> Callable[[int, int], int]:
+    """reduce(row, first): row, whose slots start at slot `first` of rows of
+    n slots of W = 8 * wbytes bits, with every slot reduced mod p at once.
+
+    A Barrett reduction within the register, with no per-slot division.  It
+    needs every slot below 2^(W - 1) and 2p < 2^(W - 1), which _slot_bytes
+    guarantees.  With mu = floor(2^(W - 1) / p), q = floor(x * mu / 2^(W - 1))
+    is floor(x / p) or one less, so x - q * p lies in [0, 2p); adding
+    2^(W - 1) - p then sets a slot's top bit exactly where p is still to be
+    subtracted.  Even and odd slots are multiplied by mu apart, each against
+    an empty neighbor, so no product reaches the next slot."""
+    wbits = 8 * wbytes
+    w1 = wbits - 1
+    mu = (1 << w1) // p
+    ones = int.from_bytes((1).to_bytes(wbytes, "little") * n, "little")
+    even = int.from_bytes((b"\xff" * wbytes + bytes(wbytes)) * ((n + 1) // 2), "little")
+    bias = int.from_bytes(((1 << w1) - p).to_bytes(wbytes, "little") * n, "little")
+
+    def reduce(row: int, first: int) -> int:
+        q_even = ((row & even) * mu >> w1) & even
+        q_odd = (((row >> wbits) & even) * mu >> w1) & even
+        r = row - (q_even | q_odd << wbits) * p
+        shift = first * wbits
+        return r - (((r + (bias >> shift)) >> w1) & (ones >> shift)) * p
+
+    return reduce
 
 
 def _det_symmetric(upper: list[int], wbytes: int, p: int) -> int | None:
@@ -160,17 +191,24 @@ def _det_symmetric(upper: list[int], wbytes: int, p: int) -> int | None:
     right: O(n - i) digits."""
     n = len(upper)
     wbits = 8 * wbytes
+    reduce = _reducer(n, wbytes, p)
+    # a reduced slot is read from its low bytes alone, the smallest struct
+    # integer that holds p (PrimeField keeps p below 2^63); the rest is padding
+    size, code = next((s, c) for s, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+                      if p < 1 << 8 * s)
+    fmt = f"<{code}{wbytes - size}x"
     det = 1
     for k in range(n):
-        slots = _unpack(upper[k], n - k, wbytes, p)
+        row = reduce(upper[k], k)
         upper[k] = 0
-        pv = slots[0]
+        slots = map(itemgetter(0), iter_unpack(fmt, row.to_bytes((n - k) * wbytes, "little")))
+        pv = next(slots)
         if not pv:
             return None
         det = det * pv % p
         inv = pow(pv, -1, p)
-        tail = _pack(slots[1:], wbytes)
-        for j, f in enumerate(slots[1:]):
+        tail = row >> wbits
+        for j, f in enumerate(slots):
             if f:
                 upper[k + 1 + j] += (p - f * inv % p) * (tail >> j * wbits)
     return det
@@ -183,8 +221,9 @@ def _det_pivoting(packed: list[int], wbytes: int, p: int) -> int:
     n = len(packed)
     wbits = 8 * wbytes
     mask = (1 << wbits) - 1
+    reduce = _reducer(n, wbytes, p)
     det = 1
-    for _ in range(n):
+    for k in range(n):
         piv_at = None
         for idx, row in enumerate(packed):
             pv = (row & mask) % p
@@ -199,7 +238,7 @@ def _det_pivoting(packed: list[int], wbytes: int, p: int) -> int:
         det = det * pv % p
         inv = pow(pv, -1, p)
         # reduce the pivot row mod p and drop its leading slot
-        tail = _pack(_unpack(piv_row, len(packed) + 1, wbytes, p)[1:], wbytes)
+        tail = reduce(piv_row, k) >> wbits
         for idx, row in enumerate(packed):
             f = (row & mask) % p
             row >>= wbits

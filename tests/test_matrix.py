@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,7 +242,25 @@ def _symmetric_kernel(rows, p):
     return matrix._det_symmetric(upper, wbytes, p)
 
 
-@given(st.integers(1, 8), st.sampled_from([5, 7, 13, 10007, DEFAULT_PRIME]), st.data())
+@pytest.mark.parametrize("p", [2, 3, 7, 10007, 2**61 - 1, 2**63 - 25])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 720])
+def test_packed_reduction_at_the_slot_bound(p, n):
+    # every slot at the documented maximum, then random slots up to the
+    # reducer's own limit 2^(W - 1), reduced whole and from a later slot
+    wbytes = matrix._slot_bytes(n, p)
+    top = 1 << (8 * wbytes - 1)
+    assert p - 1 + n * (p - 1) ** 2 < top // 2
+    rng = random.Random(p * 1000 + n)
+    reduce = matrix._reducer(n, wbytes, p)
+    for slots in ([p - 1 + n * (p - 1) ** 2] * n, [rng.randrange(top) for _ in range(n)]):
+        for first in {0, n // 2, n - 1}:
+            row = matrix._pack(slots[first:], wbytes)
+            got = matrix._unpack(reduce(row, first), n - first, wbytes)
+            assert got == [x % p for x in slots[first:]]
+
+
+@given(st.integers(1, 8), st.sampled_from([2, 3, 5, 7, 13, 10007, DEFAULT_PRIME, 2**63 - 25]),
+       st.data())
 @settings(max_examples=150)
 def test_symmetric_det_agrees_with_simple(n, p, data):
     # from dense to mostly zeros, so that zero diagonal pivots occur and the
@@ -297,11 +317,11 @@ def test_varchenko_det_mod_equals_det_mod_of_the_matrix(sel):
         assert varchenko_det_mod(A, ch, assignment, F) == det_mod(M, F.p)
 
 
-@given(small_arrangements(max_dim=4), st.sampled_from([7, 10007, DEFAULT_PRIME]),
-       st.integers(0, 2**32))
+@given(small_arrangements(max_dim=4),
+       st.sampled_from([2, 3, 7, 10007, DEFAULT_PRIME, 2**63 - 25]), st.integers(0, 2**32))
 @settings(max_examples=80, deadline=None)
 def test_varchenko_det_mod_matches_on_random_arrangements(A, p, seed):
-    # affine, parallel and central; at p = 7 zero pivots and zero
+    # affine, parallel and central; at p = 2, 3 and 7 zero pivots and zero
     # determinants are common
     field = PrimeField(p)
     ch = enumerate_chambers(A)
