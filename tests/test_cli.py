@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from varchenko import geometry
+from varchenko import geometry, matrix
 from varchenko.cli import COMMANDS, build_parser, main
 from varchenko.closedform import formula_A, formula_D, zagier
-from varchenko.exactalg import factored_specialize_all
+from varchenko.exactalg import (DEFAULT_PRIME, PrimeField, factored_eval,
+                                factored_specialize_all)
 from varchenko.harness import SOURCES, parse_arrangement_file
 
 BRAID3 = """\
@@ -127,6 +128,23 @@ def test_det_bruteforce_with_assignment_file(capsys, tmp_path):
                        "--assign", str(assign))
     assert code == 0
     assert json.loads(out)["value"] == "1"  # identity matrix at zero weights
+
+
+def test_det_bruteforce_with_a_zero_weight(capsys, tmp_path, monkeypatch):
+    # a weight 0 has no inverse mod p, so the walk of the congruent rows
+    # (forced here on a small matrix) must not cross its hyperplane
+    arr = tmp_path / "arr.txt"
+    arr.write_text(BRAID3)
+    weights = {"q_{1,2}": 0, "q_{1,3}": 5, "q_{2,3}": 7}
+    assign = tmp_path / "assign.json"
+    assign.write_text(json.dumps(weights))
+    expect = factored_eval(formula_A(3), weights, PrimeField(DEFAULT_PRIME))
+    for n0 in (matrix._CONGRUENCE_MIN, 1):
+        monkeypatch.setattr(matrix, "_CONGRUENCE_MIN", n0)
+        code, out, _ = run(capsys, "det", "--file", str(arr), "--mode", "bruteforce",
+                           "--assign", str(assign))
+        assert code == 0
+        assert json.loads(out)["value"] == str(expect)
 
 
 def test_det_bruteforce_seeded_is_deterministic(capsys):

@@ -3,6 +3,7 @@ import gc
 import pytest
 from hypothesis import given, settings
 
+from varchenko import matrix
 from varchenko.closedform import formula_A, formula_D, formula_I2
 from varchenko.exactalg import (DEFAULT_PRIME, FactoredProduct, NotPrimeError,
                                 PrimeField)
@@ -88,21 +89,24 @@ def test_verify_geometric_vs_bruteforce_braid4():
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 7])
-def test_bruteforce_value_leaves_no_cyclic_garbage(p):
+def test_bruteforce_value_leaves_no_cyclic_garbage(p, monkeypatch):
     # every object of a trial is freed by reference counting as soon as the
     # trial ends, so a long run never waits on the cyclic collector for its
-    # memos; at p = 7 the zero-pivot fallback runs too
+    # memos; at p = 7 the zero-pivot fallback runs too, and the congruent
+    # rows of large matrices are forced on B:3 in the second round
     A = Arrangement(3, kind("B:3").hyperplanes)
     field = PrimeField(p)
-    gc.collect()
-    gc.disable()
-    try:
-        for trial in range(3):
-            source("bruteforce", A).value_at(
-                trial_assignment(A.weight_names(), 0, trial, p), field)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    for n0 in (matrix._CONGRUENCE_MIN, 1):
+        monkeypatch.setattr(matrix, "_CONGRUENCE_MIN", n0)
+        gc.collect()
+        gc.disable()
+        try:
+            for trial in range(3):
+                source("bruteforce", A).value_at(
+                    trial_assignment(A.weight_names(), 0, trial, p), field)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_verify_printed_d2_formula_fails_with_witness():

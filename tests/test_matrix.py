@@ -249,14 +249,26 @@ def test_packed_reduction_at_the_slot_bound(p, n):
     # reducer's own limit 2^(W - 1), reduced whole and from a later slot
     wbytes = matrix._slot_bytes(n, p)
     top = 1 << (8 * wbytes - 1)
-    assert p - 1 + n * (p - 1) ** 2 < top // 2
+    most = p - 1 + (n + 1) * (p - 1) ** 2
+    assert most < top // 2
     rng = random.Random(p * 1000 + n)
     reduce = matrix._reducer(n, wbytes, p)
-    for slots in ([p - 1 + n * (p - 1) ** 2] * n, [rng.randrange(top) for _ in range(n)]):
+    for slots in ([most] * n, [rng.randrange(top) for _ in range(n)]):
         for first in {0, n // 2, n - 1}:
             row = matrix._pack(slots[first:], wbytes)
             got = matrix._unpack(reduce(row, first), n - first, wbytes)
             assert got == [x % p for x in slots[first:]]
+
+
+def test_slot_width_holds_the_congruent_rows():
+    # a congruent row starts a slot at up to p - 1 + (p - 1)^2, not p - 1;
+    # n elimination steps later it must still stay below 2^(W - 2), half of
+    # the reducer's limit 2^(W - 1)
+    for p in (2, 3, 5, 7, 251, 257, 65521, 65537, 2**31 - 1, 2**32 + 15,
+              2**61 - 1, 2**63 - 25):
+        for n in range(1, 6001):
+            top = 1 << (8 * matrix._slot_bytes(n, p) - 1)
+            assert p - 1 + (p - 1) ** 2 + n * (p - 1) ** 2 < top // 2
 
 
 @given(st.integers(1, 8), st.sampled_from([2, 3, 5, 7, 13, 10007, DEFAULT_PRIME, 2**63 - 25]),
@@ -301,9 +313,12 @@ def test_varchenko_matrices_take_the_symmetric_kernel(monkeypatch):
     A = kind("B:3")
     ch = enumerate_chambers(A)
     f = formula_B(3)
-    for trial in range(3):
-        assignment = trial_assignment(A.weight_names(), 0, trial, F.p)
-        assert varchenko_det_mod(A, ch, assignment, F) == factored_eval(f, assignment, F)
+    # the threshold as shipped, then forced down so B:3 takes the congruent rows
+    for n0 in (matrix._CONGRUENCE_MIN, 1):
+        monkeypatch.setattr(matrix, "_CONGRUENCE_MIN", n0)
+        for trial in range(3):
+            assignment = trial_assignment(A.weight_names(), 0, trial, F.p)
+            assert varchenko_det_mod(A, ch, assignment, F) == factored_eval(f, assignment, F)
 
 
 @pytest.mark.parametrize("sel", ["A:2", "A:3", "A:4", "A:5", "B:2", "B:3", "B:4",
@@ -326,13 +341,18 @@ def test_varchenko_det_mod_matches_on_random_arrangements(A, p, seed):
     field = PrimeField(p)
     ch = enumerate_chambers(A)
     assignment = trial_assignment(A.weight_names(), seed, 0, p)
-    M = varchenko_matrix_eval(A, ch, assignment, field)
-    assert varchenko_det_mod(A, ch, assignment, field) == _det_simple(M, p)
+    expect = _det_simple(varchenko_matrix_eval(A, ch, assignment, field), p)
+    for n0 in (matrix._CONGRUENCE_MIN, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matrix, "_CONGRUENCE_MIN", n0)
+            assert varchenko_det_mod(A, ch, assignment, field) == expect
 
 
 def test_varchenko_det_mod_zero_pivot_falls_back(monkeypatch):
     # A:3 at p = 7, trial 0: a diagonal pivot vanishes in gallery order, yet
-    # the determinant is 2, so only the row-pivoting fallback can compute it
+    # the determinant is 2, so only the row-pivoting fallback can compute it.
+    # The congruent rows have the same leading minors, so they must meet the
+    # same zero pivot and fall back once too.
     calls = []
     pivoting = matrix._det_pivoting
 
@@ -344,9 +364,62 @@ def test_varchenko_det_mod_zero_pivot_falls_back(monkeypatch):
     A, field = kind("A:3"), PrimeField(7)
     ch = enumerate_chambers(A)
     assignment = trial_assignment(A.weight_names(), 0, 0, field.p)
-    det = varchenko_det_mod(A, ch, assignment, field)
-    assert calls == [6]
-    assert det == _det_simple(varchenko_matrix_eval(A, ch, assignment, field), field.p) == 2
+    expect = _det_simple(varchenko_matrix_eval(A, ch, assignment, field), field.p)
+    for n0 in (matrix._CONGRUENCE_MIN, 1):
+        monkeypatch.setattr(matrix, "_CONGRUENCE_MIN", n0)
+        calls.clear()
+        det = varchenko_det_mod(A, ch, assignment, field)
+        assert calls == [6]
+        assert det == expect == 2
+
+
+def _zero_weight_assignments(A, p):
+    """A trial draw with its first weight 0 and its last p (0 mod p), the
+    draw with every other weight 0, and all weights 0."""
+    names = A.weight_names()
+    drawn = trial_assignment(names, 0, 0, p)
+    return [{**drawn, names[0]: 0, names[-1]: p},
+            {**drawn, **dict.fromkeys(names[::2], 0)},
+            dict.fromkeys(names, 0)]
+
+
+@pytest.mark.parametrize("sel", ["A:4", "B:3", "D:3", "I2:5"])
+@pytest.mark.parametrize("p", [7, DEFAULT_PRIME])
+def test_varchenko_det_mod_with_zero_weights(sel, p, monkeypatch):
+    # a weight 0 mod p has no inverse, so the walk of the congruent rows
+    # does not cross its hyperplane and the chambers behind it become roots;
+    # with all weights 0 every chamber is one and the matrix is the identity
+    A, field = kind(sel), PrimeField(p)
+    ch = enumerate_chambers(A)
+    for n0 in (matrix._CONGRUENCE_MIN, 1):
+        monkeypatch.setattr(matrix, "_CONGRUENCE_MIN", n0)
+        for assignment in _zero_weight_assignments(A, p):
+            M = varchenko_matrix_eval(A, ch, assignment, field)
+            assert varchenko_det_mod(A, ch, assignment, field) == _det_simple(M, p)
+
+
+@pytest.mark.parametrize("sel", ["A:4", "B:3", "I2:6"])
+@pytest.mark.parametrize("p", [7, 10007, DEFAULT_PRIME])
+def test_congruent_rows_keep_every_leading_minor(sel, p):
+    # N = T M T^T with T unit lower triangular: N's leading k x k block is
+    # T_k M_k T_k^T, so the symmetric kernel meets the same pivots on N as on
+    # M.  Chambers already in gallery order, so M's rows are in N's order.
+    A, field = kind(sel), PrimeField(p)
+    first, *rest = enumerate_chambers(A)
+    ch = [first, *sorted(rest, key=lambda c: len(separating_set(c, first)))]
+    for assignment in [trial_assignment(A.weight_names(), 0, 0, p),
+                       *_zero_weight_assignments(A, p)]:
+        M = varchenko_matrix_eval(A, ch, assignment, field)
+        weights, masks = matrix._weights_and_masks(A, ch, assignment, p)
+        n = len(masks)
+        wbytes = matrix._slot_bytes(n, p)
+        upper = [matrix._unpack(row, n - i, wbytes)
+                 for i, row in enumerate(matrix._congruent_rows(weights, masks, p, wbytes))]
+        assert all(x < p * p for row in upper for x in row)
+        N = _symmetric([x for row in upper for x in row], n)
+        for k in range(1, n + 1):
+            assert (_det_simple([row[:k] for row in N[:k]], p)
+                    == _det_simple([row[:k] for row in M[:k]], p))
 
 
 # ---------------------------------------------------------------------------
