@@ -27,39 +27,64 @@ caller.  It never builds the matrix M: it takes the chambers in gallery
 order (by walls crossed from the first), which leaves more of the
 elimination multipliers zero, and hands the kernel packed upper rows.  A
 diagonal pivot 0 mod p sends it to the row-pivoting kernel, on M's full rows
-joined from the memoized slot bytes.
+joined from the slot memo that the upper rows were built with.
 
 Below _CONGRUENCE_MIN chambers the upper rows are M's own, joined from the
-slot memo.  From it on, they are those of the congruent matrix N = T M T^T.
-Each chamber c but the first gets a parent: a neighbor one wall h closer to
-the first chamber, where h's weight w is nonzero mod p; a chamber without
-one is a root.  T is unit lower triangular with T[c][parent(c)] = -w.  Its
-leading blocks have determinant 1 and N's leading k x k block is T_k M_k
-T_k^T, so N has M's determinant and every leading principal minor of M: the
-kernel meets the same pivots on N as on M, and refuses N exactly when it
-would refuse M.  Nothing of the factorization is used.  N is sparser under
-elimination, by about half of the slot updates (B:4 2.13M -> 0.89M, D:4
-301k -> 118k).  Its rows come from a walk of the rows of M and V = M T^T
-from the parent's, with one packed reduction per walked row:
+slot memo.  From it on, they are those of a congruent matrix N = T M T^T, T
+lower triangular, whose rows come from codimension-2 stars.  Nothing of the
+factorization is used.
 
-  * M[c] is M[parent]'s row with the slots on the parent's side of h times
-    w and the others times w^-1;
-  * V[c] follows the same rule in every column d whose own wall is not h;
-    in the columns whose wall is h it is (1 - w^2) M[c], that is
-    (w^-1 - w) M[parent];
-  * N[c] = V[c] - w V[parent].
+A descent wall of chamber c separates it from the first chamber, has a
+weight nonzero mod p, and flipping it gives a chamber.  Two non-parallel
+descent walls meet in a codimension-2 flat; with F the r hyperplanes
+through it, the star of c is the set of chambers that agree with c off F.
+A star is used only when it is complete, with all 2r regions of F's rank-2
+localization.  Then c's region is the antipode of the first chamber's, and
+every other member is nearer the first chamber, so T stays lower
+triangular.  The largest complete star is taken.  Without one, the star is
+{parent, c} across the lowest descent wall, F that one hyperplane; without
+a descent wall c is a root, with row e_c.  T[c][x] = t[x's region] on the
+star, where M_F t = e_top for the 2r x 2r Varchenko matrix M_F of F's
+regions and top c's region: one small solve per flat and trial.  A
+singular M_F, or t 0 at top, makes c a root too.  The one-parent rule is
+the 2-chamber star, t = (-w, 1) / (1 - w^2).
 
-A root's rows of M and V come from the definition.  A walked row is dropped
-after its last child, so the walk holds few rows at once, and no slot memo
-but the roots'.  The walk costs about as much as joining M from the memo,
-and on small matrices the elimination it saves does not pay for it.
-_CONGRUENCE_MIN sits at the measured crossover: on seeded random
-arrangements the congruent path took 1.5x the time below 16 chambers, 1.2x
-at 16-63, 1.03x at 128-191, 0.99x at 192-255 and 0.89-0.96x from 256 to
-2,047; on the reflection arrangements, 0.92x for A:5 (120 chambers), 0.81x
-for D:4 (192), 0.67x for B:4 (384) and 0.61x for A:6 (720).  The matrices of
-at most 8 hyperplanes in 4 dimensions have at most 163 chambers, so they
-stay on M.
+With far(x) the hyperplanes separating x from the first chamber and F_d
+the flat of column d's star (empty for a root):
+
+  * (T M)[c][d] is M[c][d] where d lies on c's side of every hyperplane of
+    F, else 0, since the members' rows agree off F and sum to M_F t = e_top
+    on it;
+  * V = M T^T has V[x][d] = M[x][d] where F_d lies in far(x), else 0, with
+    no column scaling;
+  * so N[c] is the sum over the star of T[c][x] V[x], on columns from c on.
+
+In a column whose flat F_d meets no hyperplane of F, the members' sum is
+M[c][d] on c's side of F and 0 elsewhere.  So only the columns whose flat
+meets F take other members' rows, and the star's bottom member (on the
+first chamber's side of all of F) adds nothing.  N's leading k x k minor
+is M's times the square of T's first k diagonal entries, so the kernel
+meets a zero pivot on N exactly where it would on M, and det M is det N
+over the square of T's diagonal product.
+
+A row of M is walked from its parent's, each slot times w on the parent's
+side of the wall and w^-1 on the other, by Shoup's multiplication, which
+leaves every slot below 2p without a packed reduction; a chamber without a
+parent joins its row from the memo.  A count row per chamber, walked
+alongside, marks the columns whose flat is not on its far side.  Every row
+is dropped after its last use, so the walk holds the rows of two or three
+gallery levels at once.  The elimination on N takes about half the nonzero
+multipliers it takes with 2-chamber stars alone (T[c] = e_c - w e_parent up
+to scale): A:6 15,261 against 31,299, B:4 7,264 against 13,415, D:4 1,592
+against 3,241.
+
+_CONGRUENCE_MIN sits at the measured crossover.  On seeded random
+arrangements, each timed on both paths, the star rows took 1.26x the time
+of M's rows at 64-127 chambers, 1.07x at 128-191, 0.88x at 192-255 and
+0.67-0.82x from 256 to 2,047; on the reflection arrangements 1.11x for A:5
+(120 chambers), 0.82x for D:4 (192), 0.53x for B:4 (384) and 0.46x for A:6
+(720).  The matrices of at most 8 hyperplanes in 4 dimensions have at most
+163 chambers, so they stay on M.
 """
 
 from __future__ import annotations
@@ -70,7 +95,7 @@ from struct import iter_unpack
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactalg import FactoredProduct, MissingVariableError, PrimeField
-from .geometry import Arrangement, Chamber
+from .geometry import Arrangement, Chamber, _extend_basis, _reduce_row
 
 
 class MatrixError(ValueError):
@@ -125,11 +150,9 @@ class _SlotBytes(dict):
         return value
 
 
-def _joined_rows(weights: Sequence[int], masks: Sequence[int], p: int,
-                 wbytes: int, upper: bool) -> list[int]:
+def _joined_rows(slots: _SlotBytes, masks: Sequence[int], upper: bool) -> list[int]:
     """Row i of the matrix as one packed int, joined from the memoized slot
-    bytes: columns i..n-1 if upper, else all n.  The memo dies on return."""
-    slots = _SlotBytes(weights, p, wbytes)
+    bytes: columns i..n-1 if upper, else all n."""
     return [int.from_bytes(b"".join(map(slots.__getitem__,
                                         map(mi.__xor__, masks[i:] if upper else masks))),
                            "little")
@@ -145,9 +168,8 @@ def varchenko_matrix_eval(A: Arrangement, chambers: Sequence[Chamber],
     p = field.p
     weights, masks = _weights_and_masks(A, chambers, assignment, p)
     n = len(masks)
-    wbytes = _slot_bytes(n, p)
-    return [_unpack(row, n, wbytes)
-            for row in _joined_rows(weights, masks, p, wbytes, upper=False)]
+    slots = _SlotBytes(weights, p, _slot_bytes(n, p))
+    return [_unpack(row, n, slots.wbytes) for row in _joined_rows(slots, masks, upper=False)]
 
 
 # ---------------------------------------------------------------------------
@@ -170,20 +192,20 @@ def _unpack(row: int, count: int, wbytes: int) -> list[int]:
     return list(map(int.from_bytes, chunks, repeat("little")))
 
 
-def _slot_bytes(n: int, p: int) -> int:
-    """Width of a packed slot in whole bytes, for an n x n matrix mod p.
+def _slot_bytes(n: int, p: int, s: int = 1) -> int:
+    """Width of a packed slot in whole bytes, for an n x n matrix mod p
+    whose slots start below s * p^2.
 
-    A slot starts below p^2: M's rows start reduced, and a row
-    V[c] + (p - w) V[parent] of _congruent_rows starts at most
-    p - 1 + (p - 1)^2 (its walk's own rows hold at most one product of two
-    reduced numbers in a slot before their reduction).  Each elimination step
-    adds (p - f) * t <= (p - 1)^2 to it (f and t are reduced and f is
-    nonzero), at most n times.  So a slot stays below
-    p^2 + n * (p - 1)^2 < (n + 1) * p^2 <= 2^(2 * bitlen(p) + bitlen(n))
-    <= 2^(W - 2), with W = 8 * wbytes bits a slot: it never carries into its
-    neighbor, and its top bit stays clear, which _reducer needs (as it needs
+    M's rows start reduced, below p^2 with s = 1.  A row of _congruent_rows
+    starts at most one product per member of its star, a coefficient below
+    p times a walked entry below 2p, so its s is twice the largest star.
+    Each elimination step adds (p - f) * t <= (p - 1)^2 to a slot (f and t
+    are reduced and f is nonzero), at most n times.  So a slot stays below
+    (n + s) * p^2 <= 2^(2 * bitlen(p) + bitlen(n + s - 1)) <= 2^(W - 2),
+    with W = 8 * wbytes bits a slot: it never carries into its neighbor,
+    and its top bit stays clear, which _reducer needs (as it needs
     2p < 2^(W - 1))."""
-    return (2 * p.bit_length() + n.bit_length() + 2 + 7) // 8
+    return (2 * p.bit_length() + (n + s - 1).bit_length() + 2 + 7) // 8
 
 
 def _reducer(n: int, wbytes: int, p: int) -> Callable[[int, int], int]:
@@ -252,8 +274,8 @@ def _det_symmetric(upper: list[int], wbytes: int, p: int) -> int | None:
 
 def _det_pivoting(packed: list[int], wbytes: int, p: int) -> int:
     """Determinant mod p of the square matrix given by its packed full rows,
-    slots below p, by elimination with nonzero-pivot search.  Consumes
-    `packed`."""
+    slots below p (or below 2p at a slot width sized for s >= 2), by
+    elimination with nonzero-pivot search.  Consumes `packed`."""
     n = len(packed)
     wbits = 8 * wbytes
     mask = (1 << wbits) - 1
@@ -301,95 +323,292 @@ def det_mod(entries: Sequence[Sequence[int]], p: int) -> int:
 _CONGRUENCE_MIN = 192
 
 
-def _congruent_rows(weights: Sequence[int], masks: Sequence[int], p: int,
-                    wbytes: int) -> list[int]:
-    """Packed upper rows of N = T M T^T, for the matrix M of the masks in
-    gallery order from masks[0], slots below p^2.
+def _bits(mask: int) -> Iterable[int]:
+    """The set bits of mask, lowest first, each as a mask of its own."""
+    while mask:
+        bit = mask & -mask
+        yield bit
+        mask ^= bit
 
-    Chamber c's parent is a neighbor one wall h closer to masks[0], with
-    weight w nonzero mod p, and row c of T is e_c - w e_parent; a chamber
-    without one is a root, with row e_c.  The rows of M and V = M T^T are
-    walked from the parent's by the rules of the module docstring, reduced
-    together once, and dropped after their last child."""
+
+def _flat(rows: Sequence[Sequence[int]], dim: int, h1: int, h2: int) -> int:
+    """Bitmask of the hyperplanes, given by their integer rows, that contain
+    H_h1 and H_h2's intersection; 0 when the two are parallel."""
+    basis: list[tuple[int, list[int]]] = []
+    _extend_basis(basis, _reduce_row(rows[h1], basis), dim)
+    if not _extend_basis(basis, _reduce_row(rows[h2], basis), dim):
+        return 0
+    return sum(1 << h for h, row in enumerate(rows) if not any(_reduce_row(row, basis)))
+
+
+def _local_inverse_row(weights: Sequence[int], regions: Sequence[int], top: int,
+                       p: int) -> dict[int, int] | None:
+    """Row `top` of the inverse of the local Varchenko matrix of the regions,
+    each given by the mask of the hyperplanes separating it from one fixed
+    region, as region -> entry; None when the matrix is singular mod p or
+    the row is 0 at `top`."""
+    k = len(regions)
+    # [M | e_top], M symmetric with unit diagonal
+    aug = [[1] * k + [int(q == top)] for q in regions]
+    for i, q in enumerate(regions):
+        for j in range(i + 1, k):
+            x, bits = 1, q ^ regions[j]
+            while bits:
+                x = x * weights[(bits & -bits).bit_length() - 1] % p
+                bits &= bits - 1
+            aug[i][j] = aug[j][i] = x
+    # elimination to an upper triangle U t = b, without division
+    for i in range(k):
+        piv = next((j for j in range(i, k) if aug[j][i]), None)
+        if piv is None:
+            return None
+        aug[i], aug[piv] = aug[piv], aug[i]
+        prow = aug[i]
+        d = prow[i]
+        for j in range(i + 1, k):
+            f = aug[j][i]
+            if f:
+                aug[j] = [(d * x - f * y) % p for x, y in zip(aug[j], prow)]
+    # back substitution, with the pivots inverted by one pow: the inverse of
+    # U_ii is the product of the others over the product of all
+    before = [1]
+    for i in range(k):
+        before.append(before[-1] * aug[i][i] % p)
+    after = pow(before[k], -1, p)
+    t = [0] * k
+    for i in reversed(range(k)):
+        row = aug[i]
+        t[i] = (row[k] - sum(row[j] * t[j] for j in range(i + 1, k))) * after * before[i] % p
+        after = after * row[i] % p
+    # M is symmetric, so the solution t of M t = e_top is its inverse's row
+    entries = dict(zip(regions, t))
+    return entries if entries[top] else None
+
+
+def _stars(A: Arrangement, weights: Sequence[int], masks: Sequence[int],
+           p: int) -> tuple[list[int], list[tuple[tuple[int, ...], tuple[int, ...], int]]]:
+    """The parent of each chamber of the masks, in gallery order from
+    masks[0], and its row of T as (star, coefficients, flat).
+
+    A descent wall of c separates it from masks[0], has a weight nonzero mod
+    p, and flipping it gives a chamber.  The parent is the chamber across the
+    lowest, -1 without one.  The star is the largest complete one about the
+    flat of two non-parallel descent walls, else {parent, c} about the
+    lowest; the coefficients are the star's local inverse row, and the flat
+    is the mask of its hyperplanes.  A chamber without a descent wall, or
+    whose local matrix fails, is a root: ((c,), (1,), 0).
+
+    The flats of hyperplane pairs, and the sign patterns of each flat's
+    regions once a complete star showed them, depend on A alone, so they are
+    kept in A's cache for the next call."""
     n = len(masks)
-    wbits = 8 * wbytes
     base = masks[0]
     index = {m: i for i, m in enumerate(masks)}
+    # (b1, b2) -> flat mask; flat -> the sign masks of its regions on it
+    flats, regions = A._cache.setdefault("flats", ({}, {}))
+    inverse: dict[int, dict[int, int] | None] = {}
     parent = [-1] * n
-    wall = [-1] * n
+    stars = [((c,), (1,), 0) for c in range(n)]
     for c in range(1, n):
-        far = masks[c] ^ base
-        while far:
-            bit = far & -far
-            h = bit.bit_length() - 1
-            if weights[h] and (masks[c] ^ bit) in index:
-                parent[c] = index[masks[c] ^ bit]
-                wall[c] = h
-                break
-            far ^= bit
+        mc = masks[c]
+        descent = []
+        bits = mc ^ base
+        while bits:
+            bit = bits & -bits
+            if weights[bit.bit_length() - 1] and mc ^ bit in index:
+                descent.append(bit)
+            bits ^= bit
+        if not descent:
+            continue
+        parent[c] = index[mc ^ descent[0]]
+        candidates = set()
+        for i, b1 in enumerate(descent):
+            for b2 in descent[i + 1:]:
+                flat = flats.get((b1, b2))
+                if flat is None:
+                    flat = flats[b1, b2] = _flat([row for row, _ in A.rows], A.dimension,
+                                                 b1.bit_length() - 1, b2.bit_length() - 1)
+                if flat:
+                    candidates.add(flat)
+        for flat in sorted(candidates, key=lambda f: (-f.bit_count(), f)):
+            if flat in regions:
+                star = [index.get(mc ^ (mc & flat) ^ q) for q in regions[flat]]
+                if None not in star:
+                    break
+            else:
+                # the chambers that agree with c off the flat, reached by
+                # flipping its hyperplanes one at a time
+                star, todo = [c], [mc]
+                while todo:
+                    m = todo.pop()
+                    for bit in _bits(flat):
+                        x = index.get(m ^ bit)
+                        if x is not None and x not in star:
+                            star.append(x)
+                            todo.append(m ^ bit)
+                # r hyperplanes through a codimension-2 flat cut 2r regions
+                if len(star) == 2 * flat.bit_count():
+                    regions[flat] = [masks[x] & flat for x in star]
+                    break
+        else:
+            flat = descent[0]
+            star = [parent[c], c]
+        if flat not in inverse:
+            far = [q ^ (base & flat) for q in regions[flat]] if flat in regions else [0, flat]
+            inverse[flat] = _local_inverse_row(weights, far, flat, p)
+        t = inverse[flat]
+        if t is not None:
+            star.sort()
+            stars[c] = (tuple(star), tuple(t[(masks[x] ^ base) & flat] for x in star), flat)
+    return parent, stars
+
+
+def _crossing(weights: Sequence[int], masks: Sequence[int],
+              slots: _SlotBytes) -> tuple[list[int], Callable[[int, int, int], int]]:
+    """near, cross: per hyperplane h, the slot mask over all columns on
+    masks[0]'s side of h; and cross(row, h, first), the row of M from column
+    `first` on of the chamber across h from the row's, which lies on
+    masks[0]'s side of h.
+
+    cross multiplies each slot by w on that side and by w^-1 on the other,
+    by Shoup's product by a fixed w mod p: with w' = floor(w 2^k / p) and
+    a < 2p <= 2^k, q = floor(a w' / 2^k) leaves a w - q p in [0, 2p).  So the
+    row it returns holds slots below 2p, as it may take them, with no packed
+    reduction."""
+    p, wbytes = slots.p, slots.wbytes
+    wbits = 8 * wbytes
+    base = masks[0]
+    zero, full = bytes(wbytes), b"\xff" * wbytes
+    near = [int.from_bytes(b"".join(zero if (m ^ base) >> h & 1 else full for m in masks),
+                           "little")
+            for h in range(len(weights))]
+    k = p.bit_length() + 1
+    # a bitwise and keeps its shorter operand's length, so one mask of every
+    # slot's low bits serves rows from any column on
+    low = int.from_bytes(((1 << (wbits - k)) - 1).to_bytes(wbytes, "little") * len(masks),
+                         "little")
+    shoup = [(w, (w << k) // p, wi, (wi << k) // p)
+             for w, wi in ((w, pow(w, -1, p) if w else 0) for w in weights)]
+
+    def cross(row: int, h: int, first: int) -> int:
+        w, ws, wi, wis = shoup[h]
+        mn = row & (near[h] >> first * wbits)
+        mf = row ^ mn
+        return w * mn + wi * mf - (((ws * mn + wis * mf) >> k) & low) * p
+
+    return near, cross
+
+
+def _walked_rows(parent: Sequence[int], weights: Sequence[int], masks: Sequence[int],
+                 slots: _SlotBytes) -> list[int]:
+    """M's full rows, slots below 2p, for the masks in gallery order: each
+    crossed from its parent's row, or joined from the slot memo without a
+    parent."""
+    _, cross = _crossing(weights, masks, slots)
+    rows: list[int] = []
+    for c, pc in enumerate(parent):
+        if pc < 0:
+            rows.append(int.from_bytes(b"".join(map(slots.__getitem__,
+                                                    map(masks[c].__xor__, masks))), "little"))
+        else:
+            rows.append(cross(rows[pc], (masks[c] ^ masks[pc]).bit_length() - 1, 0))
+    return rows
+
+
+def _congruent_rows(parent: Sequence[int],
+                    stars: Sequence[tuple[tuple[int, ...], tuple[int, ...], int]],
+                    weights: Sequence[int], masks: Sequence[int],
+                    slots: _SlotBytes) -> list[int]:
+    """Packed upper rows of N = T M T^T, for the matrix M of the masks in
+    gallery order from masks[0] and the parents and rows of T that _stars
+    gives.  A slot starts below 2 s p^2, s the largest star.
+
+    Row c of N is built by the rules of the module docstring.  Row x of M
+    is walked from its parent's, or joined from the slot memo without one,
+    and dropped after its last use."""
+    n = len(masks)
+    p, wbytes = slots.p, slots.wbytes
+    wbits = 8 * wbytes
+    w1 = wbits - 1
+    base = masks[0]
+    last = list(range(n))
     last_child = [-1] * n
+    for c, (star, _, flat) in enumerate(stars):
+        for x in star:
+            # the bottom of a star, on masks[0]'s side of all its flat,
+            # adds nothing to the row
+            if (masks[x] ^ base) & flat:
+                last[x] = c
     for c, pc in enumerate(parent):
         if pc >= 0:
+            last[pc] = max(last[pc], c)
             last_child[pc] = c
-    # per hyperplane h, slot masks over all n columns: the columns on
-    # masks[0]'s side of h, and the columns whose own wall is h
-    ones, zero = b"\xff" * wbytes, bytes(wbytes)
-    near, crossed = [], []
-    for h in range(len(weights)):
-        bit = 1 << h
-        near.append(int.from_bytes(b"".join(zero if (m ^ base) & bit else ones for m in masks),
-                                   "little"))
-        crossed.append(int.from_bytes(b"".join(ones if wh == h else zero for wh in wall),
-                                      "little"))
-    roots = int.from_bytes(b"".join(ones if pc < 0 else zero for pc in parent), "little")
-    # a walked row keeps M[c] and V[c], columns c..n-1 each, side by side in
-    # one int, V above M, so that one reduction serves both
-    reduce = _reducer(2 * n, wbytes, p)
-    memo = None
-    walked: list[int | None] = [None] * n
+    near, cross = _crossing(weights, masks, slots)
+    # per hyperplane h, a 1 in the columns whose flat holds h
+    one, zero = (1).to_bytes(wbytes, "little"), bytes(wbytes)
+    through = [int.from_bytes(b"".join(one if flat >> h & 1 else zero for _, _, flat in stars),
+                              "little")
+               for h in range(len(weights))]
+    ones = int.from_bytes(one * n, "little")
+    # Column d of a chamber's count row holds 2^(W - 1) - 1 plus the number
+    # of hyperplanes of d's flat on masks[0]'s side of the chamber: its top
+    # bit is set exactly where d's flat is not on the chamber's far side.
+    count0 = ((1 << w1) - 1) * ones + sum(through)
+    # A kept row is (its first column, the row from there on); a use at row c
+    # keeps it from column c on only, since no later use needs less.
+    walked: list[tuple[int, int] | None] = [None] * n
+    counts: list[tuple[int, int] | None] = [None] * n
+
+    def tail(kept: list, x: int, c: int) -> int:
+        first, row = kept[x]
+        if first < c:
+            row >>= (c - first) * wbits
+            kept[x] = c, row
+        return row
+
     rows = []
     for c in range(n):
         shift = c * wbits
-        width = (n - c) * wbits
         pc = parent[c]
         if pc < 0:
-            if memo is None:
-                memo = _SlotBytes(weights, p, wbytes)
-            mc = int.from_bytes(b"".join(map(memo.__getitem__, map(masks[c].__xor__, masks[c:]))),
+            mc = int.from_bytes(b"".join(map(slots.__getitem__, map(masks[c].__xor__, masks[c:]))),
                                 "little")
-            # column d of wall h: M[c][d] - w M[c][parent(d)] is (1 - w^2) M[c][d]
-            # with c on d's side of h, else 0
-            vc = mc & (roots >> shift)
-            far = masks[c] ^ base
-            while far:
-                bit = far & -far
-                h = bit.bit_length() - 1
-                vc += (1 - weights[h] ** 2) % p * (mc & (crossed[h] >> shift))
-                far ^= bit
-            row = reduce(mc | vc << width, 2 * c)
-            nc = row >> width
+            count = count0 - sum(through[bit.bit_length() - 1]
+                                 for bit in _bits(masks[c] ^ base)) >> shift
         else:
-            h = wall[c]
-            w = weights[h]
-            wi = pow(w, -1, p)
-            step = (c - pc) * wbits
-            prow = walked[pc]
-            mp = (prow >> step) & ((1 << width) - 1)
-            vp = prow >> (width + 2 * step)
-            nh = near[h] >> shift
-            mn = mp & nh
-            vn = vp & nh
-            # the parent is on masks[0]'s side of h, where V[parent] is 0 in the
-            # columns of wall h, so vp ^ vn is its far side without them
-            mc = w * mn + wi * (mp ^ mn)
-            vc = w * vn + wi * (vp ^ vn) + (wi - w) % p * (mp & (crossed[h] >> shift))
-            row = reduce(mc | vc << width, 2 * c)
-            nc = (row >> width) + (p - w) * vp
+            h = (masks[c] ^ masks[pc]).bit_length() - 1
+            mc = cross(tail(walked, pc, c), h, c)
+            count = tail(counts, pc, c) - (through[h] >> shift)
             if last_child[pc] == c:
-                walked[pc] = None
+                counts[pc] = None
+        walked[c] = c, mc
         if last_child[c] >= 0:
-            walked[c] = row
-        rows.append(nc)
+            counts[c] = c, count
+        star, coeffs, flat = stars[c]
+        # slot masks of the columns whose flat meets c's, and of the columns
+        # on masks[0]'s side of some hyperplane of c's flat
+        share = side = 0
+        lifted = {}
+        for bit in _bits(flat):
+            h = bit.bit_length() - 1
+            share |= lifted.setdefault(bit, through[h] >> shift)
+            side |= near[h] >> shift
+        share = (share << wbits) - share
+        nc = (mc ^ (mc & (side | share))) + coeffs[-1] * (mc & share)
+        for x, t in zip(star[:-1], coeffs):
+            lost = flat & ~(masks[x] ^ base)
+            if lost != flat:
+                drop = 0
+                for bit in _bits(lost):
+                    drop |= lifted[bit]
+                nc += t * (tail(walked, x, c) & (share ^ ((drop << wbits) - drop)))
+        for x in (pc, *star):
+            if x >= 0 and last[x] == c:
+                walked[x] = None
+        # an and allocates its shorter operand's length, so the row ends at
+        # its last column whose flat is on c's far side
+        keep = (~count >> w1) & (ones >> shift)
+        rows.append(nc & ((keep << wbits) - keep))
     return rows
 
 
@@ -402,23 +621,34 @@ def varchenko_det_mod(A: Arrangement, chambers: Sequence[Chamber],
     from chambers[0], which leaves more of the elimination multipliers zero
     than the given order; a simultaneous permutation of rows and columns
     keeps the determinant.  From _CONGRUENCE_MIN chambers on, the kernel
-    eliminates the congruent matrix N = T M T^T (_congruent_rows), which
-    has M's determinant and leading principal minors.  A zero diagonal pivot
-    falls back to the row-pivoting kernel on M's full rows, joined in the
-    same order."""
+    eliminates the congruent matrix N = T M T^T (_congruent_rows), whose
+    leading principal minors are M's times nonzero squares.  A zero diagonal
+    pivot falls back to the row-pivoting kernel on M's full rows, joined in
+    the same order from the same slot memo."""
     p = field.p
     weights, masks = _weights_and_masks(A, chambers, assignment, p)
     base = masks[0] if masks else 0
     masks.sort(key=lambda m: (m ^ base).bit_count())
-    wbytes = _slot_bytes(len(masks), p)
-    if len(masks) >= _CONGRUENCE_MIN:
-        upper = _congruent_rows(weights, masks, p, wbytes)
+    n = len(masks)
+    scale = 1
+    if n >= _CONGRUENCE_MIN:
+        parent, stars = _stars(A, weights, masks, p)
+        slots = _SlotBytes(weights, p, _slot_bytes(n, p, 2 * max(len(s) for s, _, _ in stars)))
+        upper = _congruent_rows(parent, stars, weights, masks, slots)
+        # det N is det M times the square of T's diagonal product
+        for _, coeffs, _ in stars:
+            scale = scale * coeffs[-1] % p
     else:
-        upper = _joined_rows(weights, masks, p, wbytes, upper=True)
-    det = _det_symmetric(upper, wbytes, p)
+        slots = _SlotBytes(weights, p, _slot_bytes(n, p))
+        upper = _joined_rows(slots, masks, upper=True)
+    det = _det_symmetric(upper, slots.wbytes, p)
     if det is None:
-        det = _det_pivoting(_joined_rows(weights, masks, p, wbytes, upper=False), wbytes, p)
-    return det
+        if n >= _CONGRUENCE_MIN:
+            full = _walked_rows(parent, weights, masks, slots)
+        else:
+            full = _joined_rows(slots, masks, upper=False)
+        return _det_pivoting(full, slots.wbytes, p)
+    return det * pow(scale, -2, p) % p
 
 
 def degree_bound(f: FactoredProduct) -> int:

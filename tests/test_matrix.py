@@ -9,7 +9,7 @@ from varchenko.closedform import formula_A, formula_B
 from varchenko.exactalg import (DEFAULT_PRIME, MissingVariableError,
                                 PrimeField, factored_eval)
 from varchenko.families import FamilyKind, build_family
-from varchenko.geometry import enumerate_chambers
+from varchenko.geometry import Arrangement, Hyperplane, enumerate_chambers
 from varchenko.harness import trial_assignment
 from varchenko.matrix import (MatrixError, degree_bound, det_mod,
                               varchenko_det_mod, varchenko_matrix_eval)
@@ -269,6 +269,12 @@ def test_slot_width_holds_the_congruent_rows():
         for n in range(1, 6001):
             top = 1 << (8 * matrix._slot_bytes(n, p) - 1)
             assert p - 1 + (p - 1) ** 2 + n * (p - 1) ** 2 < top // 2
+        # a star row starts a slot at one product of a coefficient below p and
+        # a walked entry below 2p per member; I2:m has stars of 2m chambers
+        for star in (*range(1, 17), 24, 32, 64):
+            for n in range(1, 6001, 13):
+                top = 1 << (8 * matrix._slot_bytes(n, p, 2 * star) - 1)
+                assert star * (p - 1) * (2 * p - 1) + n * (p - 1) ** 2 < top // 2
 
 
 @given(st.integers(1, 8), st.sampled_from([2, 3, 5, 7, 13, 10007, DEFAULT_PRIME, 2**63 - 25]),
@@ -351,8 +357,8 @@ def test_varchenko_det_mod_matches_on_random_arrangements(A, p, seed):
 def test_varchenko_det_mod_zero_pivot_falls_back(monkeypatch):
     # A:3 at p = 7, trial 0: a diagonal pivot vanishes in gallery order, yet
     # the determinant is 2, so only the row-pivoting fallback can compute it.
-    # The congruent rows have the same leading minors, so they must meet the
-    # same zero pivot and fall back once too.
+    # The congruent rows have M's leading minors times nonzero squares, so
+    # they must meet the same zero pivot and fall back once too.
     calls = []
     pivoting = matrix._det_pivoting
 
@@ -398,28 +404,82 @@ def test_varchenko_det_mod_with_zero_weights(sel, p, monkeypatch):
             assert varchenko_det_mod(A, ch, assignment, field) == _det_simple(M, p)
 
 
-@pytest.mark.parametrize("sel", ["A:4", "B:3", "I2:6"])
+def _affine_with_parallels():
+    """Seven lines in the plane, in three parallel classes and one more
+    direction, so that some pairs of walls have no flat."""
+    lines = [((1, 0), 0), ((1, 0), 1), ((1, 0), 2), ((0, 1), 0), ((0, 1), 1),
+             ((1, 1), 1), ((1, -1), 0)]
+    return Arrangement(2, [Hyperplane.make(a, b, f"w{i}") for i, (a, b) in enumerate(lines)])
+
+
+def _congruent_upper(A, ch, assignment, p):
+    """The stars, slot width and packed upper rows of N = T M T^T that
+    varchenko_det_mod builds for these chambers, already in gallery order."""
+    weights, masks = matrix._weights_and_masks(A, ch, assignment, p)
+    parent, stars = matrix._stars(A, weights, masks, p)
+    wbytes = matrix._slot_bytes(len(masks), p, 2 * max(len(s) for s, _, _ in stars))
+    slots = matrix._SlotBytes(weights, p, wbytes)
+    return stars, wbytes, matrix._congruent_rows(parent, stars, weights, masks, slots)
+
+
+def _gallery_chambers(A):
+    first, *rest = enumerate_chambers(A)
+    return [first, *sorted(rest, key=lambda c: len(separating_set(c, first)))]
+
+
+@pytest.mark.parametrize("sel", ["A:4", "B:3", "I2:6", "affine"])
 @pytest.mark.parametrize("p", [7, 10007, DEFAULT_PRIME])
 def test_congruent_rows_keep_every_leading_minor(sel, p):
-    # N = T M T^T with T unit lower triangular: N's leading k x k block is
-    # T_k M_k T_k^T, so the symmetric kernel meets the same pivots on N as on
-    # M.  Chambers already in gallery order, so M's rows are in N's order.
-    A, field = kind(sel), PrimeField(p)
-    first, *rest = enumerate_chambers(A)
-    ch = [first, *sorted(rest, key=lambda c: len(separating_set(c, first)))]
-    for assignment in [trial_assignment(A.weight_names(), 0, 0, p),
-                       *_zero_weight_assignments(A, p)]:
+    # N = T M T^T with T lower triangular: N's leading k x k block is
+    # T_k M_k T_k^T, so its minor is M's times the square of T's first k
+    # diagonal entries, and the symmetric kernel meets a zero pivot on N
+    # exactly where it meets one on M.  Chambers already in gallery order, so
+    # M's rows are in N's order.
+    A, field = (_affine_with_parallels() if sel == "affine" else kind(sel)), PrimeField(p)
+    ch = _gallery_chambers(A)
+    names = A.weight_names()
+    drawn = trial_assignment(names, 0, 0, p)
+    # weights +-1 make every local matrix singular, so every chamber a root
+    signs = {name: (-1) ** i for i, name in enumerate(names)}
+    for assignment in [drawn, signs, *_zero_weight_assignments(A, p)]:
         M = varchenko_matrix_eval(A, ch, assignment, field)
-        weights, masks = matrix._weights_and_masks(A, ch, assignment, p)
-        n = len(masks)
-        wbytes = matrix._slot_bytes(n, p)
-        upper = [matrix._unpack(row, n - i, wbytes)
-                 for i, row in enumerate(matrix._congruent_rows(weights, masks, p, wbytes))]
-        assert all(x < p * p for row in upper for x in row)
-        N = _symmetric([x for row in upper for x in row], n)
+        stars, wbytes, rows = _congruent_upper(A, ch, assignment, p)
+        if assignment is signs:
+            assert all(len(star) == 1 for star, _, _ in stars)
+        if assignment is drawn and sel == "I2:6":
+            assert max(len(star) for star, _, _ in stars) == 12
+        n = len(ch)
+        s = max(len(star) for star, _, _ in stars)
+        upper = [matrix._unpack(row, n - i, wbytes) for i, row in enumerate(rows)]
+        assert all(x < 2 * s * p * p for row in upper for x in row)
+        N = _symmetric([x % p for row in upper for x in row], n)
+        scale = 1
         for k in range(1, n + 1):
+            star, coeffs, _ = stars[k - 1]
+            assert star[-1] == k - 1
+            scale = scale * coeffs[-1] ** 2 % p
             assert (_det_simple([row[:k] for row in N[:k]], p)
-                    == _det_simple([row[:k] for row in M[:k]], p))
+                    == _det_simple([row[:k] for row in M[:k]], p) * scale % p)
+
+
+def test_star_rows_halve_the_elimination_work():
+    # nonzero multipliers of the symmetric kernel on B:4, trial 0: 13,415 on
+    # the congruence with one parent per chamber, 7,264 on the star rows
+    A, p = kind("B:4"), DEFAULT_PRIME
+    ch = _gallery_chambers(A)
+    _, wbytes, upper = _congruent_upper(A, ch, trial_assignment(A.weight_names(), 0, 0, p), p)
+    n, wbits = len(upper), 8 * wbytes
+    reduce = matrix._reducer(n, wbytes, p)
+    multipliers = 0
+    for k in range(n):
+        row = reduce(upper[k], k)
+        pivot, *rest = matrix._unpack(row, n - k, wbytes)
+        inv = pow(pivot, -1, p)
+        for j, f in enumerate(rest):
+            if f:
+                multipliers += 1
+                upper[k + 1 + j] += (p - f * inv % p) * (row >> (j + 1) * wbits)
+    assert multipliers <= 9000
 
 
 # ---------------------------------------------------------------------------
