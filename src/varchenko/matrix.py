@@ -16,7 +16,11 @@ multiply and one add of big integers, which CPython executes in C at machine
 speed.  _slot_bytes sizes the slots so that none overflows into its neighbor
 during a full elimination.  Slots grow unreduced; each pivot row is reduced
 mod p once, in all its slots at once, by a Barrett reduction on the packed
-integer (_reducer), with no per-slot division.
+integer (_reducer), with no per-slot division.  Its constants are cut to the
+row's own length, so a row that ends early costs only its own slots.  The
+symmetric kernel then finds the pivot row's nonzero slots from one packed
+flag int, read one byte a slot by itertools.compress, and visits those
+alone: on A:6, 15,261 nonzero multipliers among 259,560 slots.
 
 Two kernels share that layout.  The row-pivoting kernel (_det_pivoting)
 takes packed full rows of any square matrix; det_mod packs its entries for
@@ -46,8 +50,14 @@ triangular.  The largest complete star is taken.  Without one, the star is
 a descent wall c is a root, with row e_c.  T[c][x] = t[x's region] on the
 star, where M_F t = e_top for the 2r x 2r Varchenko matrix M_F of F's
 regions and top c's region: one small solve per flat and trial.  A
-singular M_F, or t 0 at top, makes c a root too.  The one-parent rule is
-the 2-chamber star, t = (-w, 1) / (1 - w^2).
+singular M_F, or t 0 at top, makes c a root too, for that trial only.  The
+one-parent rule is the 2-chamber star, t = (-w, 1) / (1 - w^2).
+
+Everything but the solves and the rows themselves depends on the
+arrangement, the chambers and which weights are 0 mod p alone: the
+parents, stars and flats, the slot width, and the slot masks of the walk.
+That plan (_Plan) is kept in the arrangement's cache, keyed by the zero
+set, so the trials of one check make it once.
 
 With far(x) the hyperplanes separating x from the first chamber and F_d
 the flat of column d's star (empty for a root):
@@ -89,10 +99,10 @@ of M's rows at 64-127 chambers, 1.07x at 128-191, 0.88x at 192-255 and
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, repeat
 from operator import itemgetter
 from struct import iter_unpack
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .exactalg import FactoredProduct, MissingVariableError, PrimeField
 from .geometry import Arrangement, Chamber, _extend_basis, _reduce_row
@@ -208,32 +218,50 @@ def _slot_bytes(n: int, p: int, s: int = 1) -> int:
     return (2 * p.bit_length() + (n + s - 1).bit_length() + 2 + 7) // 8
 
 
-def _reducer(n: int, wbytes: int, p: int) -> Callable[[int, int], int]:
-    """reduce(row, first): row, whose slots start at slot `first` of rows of
-    n slots of W = 8 * wbytes bits, with every slot reduced mod p at once.
+def _reducer(n: int, wbytes: int, p: int) -> tuple[Callable[[int], int],
+                                                    Callable[[int], Iterable[int]]]:
+    """reduce, nonzero for packed rows of at most n slots of W = 8 * wbytes
+    bits: reduce(row) is the row with every slot reduced mod p at once, and
+    nonzero(row) the indices of a reduced row's nonzero slots, lowest first.
 
-    A Barrett reduction within the register, with no per-slot division.  It
-    needs every slot below 2^(W - 1) and 2p < 2^(W - 1), which _slot_bytes
-    guarantees.  With mu = floor(2^(W - 1) / p), q = floor(x * mu / 2^(W - 1))
-    is floor(x / p) or one less, so x - q * p lies in [0, 2p); adding
-    2^(W - 1) - p then sets a slot's top bit exactly where p is still to be
-    subtracted.  Even and odd slots are multiplied by mu apart, each against
-    an empty neighbor, so no product reaches the next slot."""
+    reduce is a Barrett reduction within the register, with no per-slot
+    division.  It needs every slot below 2^(W - 1) and 2p < 2^(W - 1), which
+    _slot_bytes guarantees.  With mu = floor(2^(W - 1) / p),
+    q = floor(x * mu / 2^(W - 1)) is floor(x / p) or one less, so x - q * p
+    lies in [0, 2p); adding 2^(W - 1) - p then sets a slot's top bit exactly
+    where p is still to be subtracted.  Even and odd slots are multiplied by
+    mu apart, each against an empty neighbor, so no product reaches the next
+    slot.  A reduced slot x < p plus 2^(W - 1) - 1 sets its top bit, with no
+    carry, exactly where x is nonzero; nonzero reads those bits one byte a
+    slot and picks their indices with itertools.compress, in C.
+
+    Both repeat one constant slot over the row, and any window of such a
+    constant is that constant, so each cuts them to the row's own slot
+    count, from its bit length: a row ending at its last nonzero column
+    costs its own length, not n's."""
     wbits = 8 * wbytes
     w1 = wbits - 1
+    top = n * wbits
     mu = (1 << w1) // p
     ones = int.from_bytes((1).to_bytes(wbytes, "little") * n, "little")
     even = int.from_bytes((b"\xff" * wbytes + bytes(wbytes)) * ((n + 1) // 2), "little")
-    bias = int.from_bytes(((1 << w1) - p).to_bytes(wbytes, "little") * n, "little")
+    bias = ((1 << w1) - p) * ones
+    fill = ((1 << w1) - 1) * ones
 
-    def reduce(row: int, first: int) -> int:
+    def reduce(row: int) -> int:
+        cut = top - (row.bit_length() + w1) // wbits * wbits
         q_even = ((row & even) * mu >> w1) & even
         q_odd = (((row >> wbits) & even) * mu >> w1) & even
         r = row - (q_even | q_odd << wbits) * p
-        shift = first * wbits
-        return r - (((r + (bias >> shift)) >> w1) & (ones >> shift)) * p
+        return r - (((r + (bias >> cut)) >> w1) & (ones >> cut)) * p
 
-    return reduce
+    def nonzero(row: int) -> Iterable[int]:
+        size = (row.bit_length() + w1) // wbits
+        cut = top - size * wbits
+        flags = ((row + (fill >> cut)) >> w1) & (ones >> cut)
+        return compress(range(size), flags.to_bytes(size * wbytes, "little")[::wbytes])
+
+    return reduce, nonzero
 
 
 def _det_symmetric(upper: list[int], wbytes: int, p: int) -> int | None:
@@ -241,34 +269,30 @@ def _det_symmetric(upper: list[int], wbytes: int, p: int) -> int | None:
     by elimination without row swaps, as in LDL^T; None as soon as a
     diagonal pivot is 0 mod p.  Consumes `upper`.
 
-    Row i holds columns i..n-1, reduced mod p, in slots of wbytes bytes
-    with column i in the lowest slot.  Without swaps every Schur complement
-    stays symmetric, so the rows keep that shape: at pivot k the multiplier
-    of row i is the pivot row's entry in column i, and row i's update is the
-    pivot row's tail from column i on, which is the packed tail shifted
-    right: O(n - i) digits."""
+    Row i holds columns i..n-1 in slots of wbytes bytes, with column i in the
+    lowest slot.  Without swaps every Schur complement stays symmetric, so
+    the rows keep that shape: at pivot k the multiplier of row i is the
+    pivot row's entry in column i, and row i's update is the pivot row from
+    column i on, which is the packed row shifted right: O(n - i) digits.
+    Only the pivot row's nonzero slots are visited, as nonzero finds them."""
     n = len(upper)
     wbits = 8 * wbytes
-    reduce = _reducer(n, wbytes, p)
-    # a reduced slot is read from its low bytes alone, the smallest struct
-    # integer that holds p (PrimeField keeps p below 2^63); the rest is padding
-    size, code = next((s, c) for s, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
-                      if p < 1 << 8 * s)
-    fmt = f"<{code}{wbytes - size}x"
+    mask = (1 << wbits) - 1
+    reduce, nonzero = _reducer(n, wbytes, p)
     det = 1
     for k in range(n):
-        row = reduce(upper[k], k)
+        row = reduce(upper[k])
         upper[k] = 0
-        slots = map(itemgetter(0), iter_unpack(fmt, row.to_bytes((n - k) * wbytes, "little")))
-        pv = next(slots)
+        pv = row & mask
         if not pv:
             return None
         det = det * pv % p
-        inv = pow(pv, -1, p)
-        tail = row >> wbits
-        for j, f in enumerate(slots):
-            if f:
-                upper[k + 1 + j] += (p - f * inv % p) * (tail >> j * wbits)
+        neg = p - pow(pv, -1, p)
+        cols = nonzero(row)
+        next(cols)
+        for j in cols:
+            t = row >> j * wbits
+            upper[k + j] += (t & mask) * neg % p * t
     return det
 
 
@@ -279,7 +303,7 @@ def _det_pivoting(packed: list[int], wbytes: int, p: int) -> int:
     n = len(packed)
     wbits = 8 * wbytes
     mask = (1 << wbits) - 1
-    reduce = _reducer(n, wbytes, p)
+    reduce, _ = _reducer(n, wbytes, p)
     det = 1
     for k in range(n):
         piv_at = None
@@ -296,7 +320,7 @@ def _det_pivoting(packed: list[int], wbytes: int, p: int) -> int:
         det = det * pv % p
         inv = pow(pv, -1, p)
         # reduce the pivot row mod p and drop its leading slot
-        tail = reduce(piv_row, k) >> wbits
+        tail = reduce(piv_row) >> wbits
         for idx, row in enumerate(packed):
             f = (row & mask) % p
             row >>= wbits
@@ -385,39 +409,75 @@ def _local_inverse_row(weights: Sequence[int], regions: Sequence[int], top: int,
     return entries if entries[top] else None
 
 
-def _stars(A: Arrangement, weights: Sequence[int], masks: Sequence[int],
-           p: int) -> tuple[list[int], list[tuple[tuple[int, ...], tuple[int, ...], int]]]:
-    """The parent of each chamber of the masks, in gallery order from
-    masks[0], and its row of T as (star, coefficients, flat).
+_StarRows = list[tuple[tuple[int, ...], tuple[int, ...], int]]
+_Layout = tuple[list[int], list[int], list[int], int]
 
-    A descent wall of c separates it from masks[0], has a weight nonzero mod
-    p, and flipping it gives a chamber.  The parent is the chamber across the
-    lowest, -1 without one.  The star is the largest complete one about the
-    flat of two non-parallel descent walls, else {parent, c} about the
-    lowest; the coefficients are the star's local inverse row, and the flat
-    is the mask of its hyperplanes.  A chamber without a descent wall, or
-    whose local matrix fails, is a root: ((c,), (1,), 0).
+
+class _Plan(NamedTuple):
+    """What the star path takes from an arrangement, its chambers' masks in
+    gallery order and the set of its hyperplanes whose weight is 0 mod p,
+    and nothing of the weights' values: each chamber's parent and star (see
+    _stars), the regions of each flat, the slot width, near (see _crossing)
+    and the layout of the stars (see _layout)."""
+    masks: list[int]
+    parent: list[int]
+    stars: _StarRows
+    regions: dict[int, list[int]]
+    wbytes: int
+    near: list[int]
+    layout: _Layout
+
+
+def _plan(A: Arrangement, masks: list[int], weights: Sequence[int], p: int) -> _Plan:
+    """The plan of the masks, in gallery order from masks[0], under these
+    weights mod p.  It is kept in A's cache, keyed by the weights' zero set
+    and p's bit length (which with the masks fixes the slot width), so the
+    other trials of a check reuse it; one made for other masks is replaced."""
+    zero = sum(1 << h for h, w in enumerate(weights) if not w)
+    key = zero, p.bit_length()
+    plans = A._cache.setdefault("plans", {})
+    plan = plans.get(key)
+    if plan is None or plan.masks != masks:
+        parent, stars, regions = _stars(A, masks, zero)
+        wbytes = _slot_bytes(len(masks), p, 2 * max(len(s) for s, _, _ in stars))
+        base = masks[0]
+        empty, full = bytes(wbytes), b"\xff" * wbytes
+        near = [int.from_bytes(b"".join(empty if (m ^ base) >> h & 1 else full for m in masks),
+                               "little")
+                for h in range(len(weights))]
+        plan = plans[key] = _Plan(masks, parent, stars, regions, wbytes, near,
+                                  _layout(parent, stars, masks, len(weights), wbytes))
+    return plan
+
+
+def _stars(A: Arrangement, masks: Sequence[int], zero: int
+           ) -> tuple[list[int], _StarRows, dict[int, list[int]]]:
+    """The parent of each chamber of the masks, in gallery order from
+    masks[0]; its star as (members, each member's region, flat); and the
+    regions of each flat, as _local_inverse_row takes them.
+
+    A descent wall of c separates it from masks[0], is not in `zero` (whose
+    weights are 0 mod p), and flipping it gives a chamber.  The parent is
+    the chamber across the lowest, -1 without one.  The star is the largest
+    complete one about the flat of two non-parallel descent walls, else
+    {parent, c} about the lowest.  A flat is the mask of its hyperplanes, a
+    region the mask of those among them that separate it from masks[0].  A
+    chamber without a descent wall is a root: ((c,), (0,), 0).
 
     The flats of hyperplane pairs, and the sign patterns of each flat's
     regions once a complete star showed them, depend on A alone, so they are
-    kept in A's cache for the next call."""
+    kept in A's cache for every zero set."""
     n = len(masks)
     base = masks[0]
     index = {m: i for i, m in enumerate(masks)}
     # (b1, b2) -> flat mask; flat -> the sign masks of its regions on it
     flats, regions = A._cache.setdefault("flats", ({}, {}))
-    inverse: dict[int, dict[int, int] | None] = {}
+    local: dict[int, list[int]] = {}
     parent = [-1] * n
-    stars = [((c,), (1,), 0) for c in range(n)]
+    stars: _StarRows = [((c,), (0,), 0) for c in range(n)]
     for c in range(1, n):
         mc = masks[c]
-        descent = []
-        bits = mc ^ base
-        while bits:
-            bit = bits & -bits
-            if weights[bit.bit_length() - 1] and mc ^ bit in index:
-                descent.append(bit)
-            bits ^= bit
+        descent = [bit for bit in _bits((mc ^ base) & ~zero) if mc ^ bit in index]
         if not descent:
             continue
         parent[c] = index[mc ^ descent[0]]
@@ -453,83 +513,41 @@ def _stars(A: Arrangement, weights: Sequence[int], masks: Sequence[int],
         else:
             flat = descent[0]
             star = [parent[c], c]
-        if flat not in inverse:
-            far = [q ^ (base & flat) for q in regions[flat]] if flat in regions else [0, flat]
-            inverse[flat] = _local_inverse_row(weights, far, flat, p)
+        if flat not in local:
+            local[flat] = ([q ^ (base & flat) for q in regions[flat]] if flat in regions
+                           else [0, flat])
+        star.sort()
+        stars[c] = (tuple(star), tuple((masks[x] ^ base) & flat for x in star), flat)
+    return parent, stars, local
+
+
+def _star_rows(plan: _Plan, weights: Sequence[int], p: int
+               ) -> tuple[_StarRows, _Layout]:
+    """The rows of T under these weights, as (star, coefficients, flat) per
+    chamber, and their layout.  The coefficients are the star's local
+    inverse row, one small solve per flat.  A local matrix singular mod p,
+    or 0 at its top, makes the chambers of its flat roots, ((c,), (1,), 0),
+    for these weights only, and the layout is then made again."""
+    inverse = {flat: _local_inverse_row(weights, far, flat, p)
+               for flat, far in plan.regions.items()}
+    inverse[0] = {0: 1}
+    stars: _StarRows = []
+    for c, (star, members, flat) in enumerate(plan.stars):
         t = inverse[flat]
-        if t is not None:
-            star.sort()
-            stars[c] = (tuple(star), tuple(t[(masks[x] ^ base) & flat] for x in star), flat)
-    return parent, stars
+        stars.append(((c,), (1,), 0) if t is None
+                     else (star, tuple(map(t.__getitem__, members)), flat))
+    if None in inverse.values():
+        return stars, _layout(plan.parent, stars, plan.masks, len(weights), plan.wbytes)
+    return stars, plan.layout
 
 
-def _crossing(weights: Sequence[int], masks: Sequence[int],
-              slots: _SlotBytes) -> tuple[list[int], Callable[[int, int, int], int]]:
-    """near, cross: per hyperplane h, the slot mask over all columns on
-    masks[0]'s side of h; and cross(row, h, first), the row of M from column
-    `first` on of the chamber across h from the row's, which lies on
-    masks[0]'s side of h.
-
-    cross multiplies each slot by w on that side and by w^-1 on the other,
-    by Shoup's product by a fixed w mod p: with w' = floor(w 2^k / p) and
-    a < 2p <= 2^k, q = floor(a w' / 2^k) leaves a w - q p in [0, 2p).  So the
-    row it returns holds slots below 2p, as it may take them, with no packed
-    reduction."""
-    p, wbytes = slots.p, slots.wbytes
-    wbits = 8 * wbytes
-    base = masks[0]
-    zero, full = bytes(wbytes), b"\xff" * wbytes
-    near = [int.from_bytes(b"".join(zero if (m ^ base) >> h & 1 else full for m in masks),
-                           "little")
-            for h in range(len(weights))]
-    k = p.bit_length() + 1
-    # a bitwise and keeps its shorter operand's length, so one mask of every
-    # slot's low bits serves rows from any column on
-    low = int.from_bytes(((1 << (wbits - k)) - 1).to_bytes(wbytes, "little") * len(masks),
-                         "little")
-    shoup = [(w, (w << k) // p, wi, (wi << k) // p)
-             for w, wi in ((w, pow(w, -1, p) if w else 0) for w in weights)]
-
-    def cross(row: int, h: int, first: int) -> int:
-        w, ws, wi, wis = shoup[h]
-        mn = row & (near[h] >> first * wbits)
-        mf = row ^ mn
-        return w * mn + wi * mf - (((ws * mn + wis * mf) >> k) & low) * p
-
-    return near, cross
-
-
-def _walked_rows(parent: Sequence[int], weights: Sequence[int], masks: Sequence[int],
-                 slots: _SlotBytes) -> list[int]:
-    """M's full rows, slots below 2p, for the masks in gallery order: each
-    crossed from its parent's row, or joined from the slot memo without a
-    parent."""
-    _, cross = _crossing(weights, masks, slots)
-    rows: list[int] = []
-    for c, pc in enumerate(parent):
-        if pc < 0:
-            rows.append(int.from_bytes(b"".join(map(slots.__getitem__,
-                                                    map(masks[c].__xor__, masks))), "little"))
-        else:
-            rows.append(cross(rows[pc], (masks[c] ^ masks[pc]).bit_length() - 1, 0))
-    return rows
-
-
-def _congruent_rows(parent: Sequence[int],
-                    stars: Sequence[tuple[tuple[int, ...], tuple[int, ...], int]],
-                    weights: Sequence[int], masks: Sequence[int],
-                    slots: _SlotBytes) -> list[int]:
-    """Packed upper rows of N = T M T^T, for the matrix M of the masks in
-    gallery order from masks[0] and the parents and rows of T that _stars
-    gives.  A slot starts below 2 s p^2, s the largest star.
-
-    Row c of N is built by the rules of the module docstring.  Row x of M
-    is walked from its parent's, or joined from the slot memo without one,
-    and dropped after its last use."""
+def _layout(parent: Sequence[int], stars: _StarRows, masks: Sequence[int], count: int,
+            wbytes: int) -> _Layout:
+    """last, last_child, through, count0 for the rows of T: the last chamber
+    that reads each row of M, and the last child of each; per hyperplane h
+    of the count, a 1 in the slots of the columns whose flat holds h; and
+    masks[0]'s count row (see _congruent_rows)."""
     n = len(masks)
-    p, wbytes = slots.p, slots.wbytes
-    wbits = 8 * wbytes
-    w1 = wbits - 1
     base = masks[0]
     last = list(range(n))
     last_child = [-1] * n
@@ -543,17 +561,79 @@ def _congruent_rows(parent: Sequence[int],
         if pc >= 0:
             last[pc] = max(last[pc], c)
             last_child[pc] = c
-    near, cross = _crossing(weights, masks, slots)
-    # per hyperplane h, a 1 in the columns whose flat holds h
     one, zero = (1).to_bytes(wbytes, "little"), bytes(wbytes)
     through = [int.from_bytes(b"".join(one if flat >> h & 1 else zero for _, _, flat in stars),
                               "little")
-               for h in range(len(weights))]
-    ones = int.from_bytes(one * n, "little")
+               for h in range(count)]
     # Column d of a chamber's count row holds 2^(W - 1) - 1 plus the number
     # of hyperplanes of d's flat on masks[0]'s side of the chamber: its top
     # bit is set exactly where d's flat is not on the chamber's far side.
-    count0 = ((1 << w1) - 1) * ones + sum(through)
+    count0 = ((1 << 8 * wbytes - 1) - 1) * int.from_bytes(one * n, "little") + sum(through)
+    return last, last_child, through, count0
+
+
+def _crossing(plan: _Plan, weights: Sequence[int], p: int) -> Callable[[int, int, int], int]:
+    """cross(row, h, first): the row of M from column `first` on of the
+    chamber across h from the row's, which lies on masks[0]'s side of h;
+    the plan's near[h] is the slot mask over all columns on that side.
+
+    cross multiplies each slot by w on that side and by w^-1 on the other,
+    by Shoup's product by a fixed w mod p: with w' = floor(w 2^k / p) and
+    a < 2p <= 2^k, q = floor(a w' / 2^k) leaves a w - q p in [0, 2p).  So the
+    row it returns holds slots below 2p, as it may take them, with no packed
+    reduction."""
+    wbytes, near = plan.wbytes, plan.near
+    wbits = 8 * wbytes
+    k = p.bit_length() + 1
+    # a bitwise and keeps its shorter operand's length, so one mask of every
+    # slot's low bits serves rows from any column on
+    low = int.from_bytes(((1 << (wbits - k)) - 1).to_bytes(wbytes, "little") * len(plan.masks),
+                         "little")
+    shoup = [(w, (w << k) // p, wi, (wi << k) // p)
+             for w, wi in ((w, pow(w, -1, p) if w else 0) for w in weights)]
+
+    def cross(row: int, h: int, first: int) -> int:
+        w, ws, wi, wis = shoup[h]
+        mn = row & (near[h] >> first * wbits)
+        mf = row ^ mn
+        return w * mn + wi * mf - (((ws * mn + wis * mf) >> k) & low) * p
+
+    return cross
+
+
+def _walked_rows(plan: _Plan, weights: Sequence[int], slots: _SlotBytes) -> list[int]:
+    """M's full rows, slots below 2p, for the plan's masks: each crossed
+    from its parent's row, or joined from the slot memo without a parent."""
+    cross = _crossing(plan, weights, slots.p)
+    masks = plan.masks
+    rows: list[int] = []
+    for c, pc in enumerate(plan.parent):
+        if pc < 0:
+            rows.append(int.from_bytes(b"".join(map(slots.__getitem__,
+                                                    map(masks[c].__xor__, masks))), "little"))
+        else:
+            rows.append(cross(rows[pc], (masks[c] ^ masks[pc]).bit_length() - 1, 0))
+    return rows
+
+
+def _congruent_rows(plan: _Plan, stars: _StarRows, layout: _Layout,
+                    weights: Sequence[int], slots: _SlotBytes) -> list[int]:
+    """Packed upper rows of N = T M T^T, for the matrix M of the plan's
+    masks and the rows of T and their layout that _star_rows gives.  A slot
+    starts below 2 s p^2, s the largest star.
+
+    Row c of N is built by the rules of the module docstring.  Row x of M
+    is walked from its parent's, or joined from the slot memo without one,
+    and dropped after its last use."""
+    masks, parent, near = plan.masks, plan.parent, plan.near
+    last, last_child, through, count0 = layout
+    n = len(masks)
+    p, wbytes = slots.p, slots.wbytes
+    wbits = 8 * wbytes
+    w1 = wbits - 1
+    base = masks[0]
+    cross = _crossing(plan, weights, p)
+    ones = int.from_bytes((1).to_bytes(wbytes, "little") * n, "little")
     # A kept row is (its first column, the row from there on); a use at row c
     # keeps it from column c on only, since no later use needs less.
     walked: list[tuple[int, int] | None] = [None] * n
@@ -632,9 +712,10 @@ def varchenko_det_mod(A: Arrangement, chambers: Sequence[Chamber],
     n = len(masks)
     scale = 1
     if n >= _CONGRUENCE_MIN:
-        parent, stars = _stars(A, weights, masks, p)
-        slots = _SlotBytes(weights, p, _slot_bytes(n, p, 2 * max(len(s) for s, _, _ in stars)))
-        upper = _congruent_rows(parent, stars, weights, masks, slots)
+        plan = _plan(A, masks, weights, p)
+        stars, layout = _star_rows(plan, weights, p)
+        slots = _SlotBytes(weights, p, plan.wbytes)
+        upper = _congruent_rows(plan, stars, layout, weights, slots)
         # det N is det M times the square of T's diagonal product
         for _, coeffs, _ in stars:
             scale = scale * coeffs[-1] % p
@@ -644,7 +725,7 @@ def varchenko_det_mod(A: Arrangement, chambers: Sequence[Chamber],
     det = _det_symmetric(upper, slots.wbytes, p)
     if det is None:
         if n >= _CONGRUENCE_MIN:
-            full = _walked_rows(parent, weights, masks, slots)
+            full = _walked_rows(plan, weights, slots)
         else:
             full = _joined_rows(slots, masks, upper=False)
         return _det_pivoting(full, slots.wbytes, p)

@@ -246,18 +246,27 @@ def _symmetric_kernel(rows, p):
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 720])
 def test_packed_reduction_at_the_slot_bound(p, n):
     # every slot at the documented maximum, then random slots up to the
-    # reducer's own limit 2^(W - 1), reduced whole and from a later slot
+    # reducer's own limit 2^(W - 1), reduced whole and from a later slot.
+    # The reducer cuts its constants to the row's bit length, so rows also
+    # end in zero slots, down to a zero row, or hold multiples of p; the
+    # nonzero scan must find exactly the slots that do not reduce to 0
     wbytes = matrix._slot_bytes(n, p)
     top = 1 << (8 * wbytes - 1)
     most = p - 1 + (n + 1) * (p - 1) ** 2
     assert most < top // 2
     rng = random.Random(p * 1000 + n)
-    reduce = matrix._reducer(n, wbytes, p)
-    for slots in ([most] * n, [rng.randrange(top) for _ in range(n)]):
+    reduce, nonzero = matrix._reducer(n, wbytes, p)
+    some = [rng.randrange(top) for _ in range(n)]
+    for slots in ([most] * n, some,
+                  [rng.choice((0, p * rng.randrange(top // p), x)) for x in some],
+                  [some[0] | 1] + [0] * (n - 1),
+                  some[:n // 2] + [0] * (n - n // 2)):
         for first in {0, n // 2, n - 1}:
             row = matrix._pack(slots[first:], wbytes)
-            got = matrix._unpack(reduce(row, first), n - first, wbytes)
+            reduced = reduce(row)
+            got = matrix._unpack(reduced, n - first, wbytes)
             assert got == [x % p for x in slots[first:]]
+            assert list(nonzero(reduced)) == [j for j, x in enumerate(slots[first:]) if x % p]
 
 
 def test_slot_width_holds_the_congruent_rows():
@@ -416,10 +425,10 @@ def _congruent_upper(A, ch, assignment, p):
     """The stars, slot width and packed upper rows of N = T M T^T that
     varchenko_det_mod builds for these chambers, already in gallery order."""
     weights, masks = matrix._weights_and_masks(A, ch, assignment, p)
-    parent, stars = matrix._stars(A, weights, masks, p)
-    wbytes = matrix._slot_bytes(len(masks), p, 2 * max(len(s) for s, _, _ in stars))
-    slots = matrix._SlotBytes(weights, p, wbytes)
-    return stars, wbytes, matrix._congruent_rows(parent, stars, weights, masks, slots)
+    plan = matrix._plan(A, masks, weights, p)
+    stars, layout = matrix._star_rows(plan, weights, p)
+    slots = matrix._SlotBytes(weights, p, plan.wbytes)
+    return stars, plan.wbytes, matrix._congruent_rows(plan, stars, layout, weights, slots)
 
 
 def _gallery_chambers(A):
@@ -462,6 +471,48 @@ def test_congruent_rows_keep_every_leading_minor(sel, p):
                     == _det_simple([row[:k] for row in M[:k]], p) * scale % p)
 
 
+@pytest.mark.parametrize("sel,primes", [("A:4", (7, 10007, DEFAULT_PRIME)),
+                                        ("B:3", (7, 10007, DEFAULT_PRIME)),
+                                        ("I2:6", (7, 10007, DEFAULT_PRIME)),
+                                        ("B:4", (7, 10007))])
+def test_star_plan_is_kept_per_zero_set(sel, primes, monkeypatch):
+    # one arrangement through trials whose zero-weight sets differ: the plan
+    # of the stars is made once per zero set and holds nothing of the
+    # weights' values; B:4 takes the star path at the shipped threshold
+    if sel != "B:4":
+        monkeypatch.setattr(matrix, "_CONGRUENCE_MIN", 1)
+    family = kind(sel)
+    for p in primes:
+        A = Arrangement(family.dimension, list(family.hyperplanes))
+        field = PrimeField(p)
+        ch = enumerate_chambers(A)
+        names = A.weight_names()
+        first, second = (trial_assignment(names, 0, trial, p) for trial in range(2))
+        signs = {name: (-1) ** i for i, name in enumerate(names)}
+        dets = []
+        for assignment in (first, {**second, names[1]: p}, signs, second):
+            M = varchenko_matrix_eval(A, ch, assignment, field)
+            dets.append(varchenko_det_mod(A, ch, assignment, field))
+            assert dets[-1] == _det_simple(M, p)
+        # other chambers replace the plan: a principal minor, then M again
+        sub = ch[1:]
+        assert (varchenko_det_mod(A, sub, first, field)
+                == det_mod(varchenko_matrix_eval(A, sub, first, field), p))
+        assert varchenko_det_mod(A, ch, first, field) == dets[0]
+        plans = A._cache["plans"]
+        assert sorted(zero for zero, _ in plans) == [0, 2]
+        kept = plans[0, p.bit_length()]
+        # weights +-1 make every local matrix singular, so every chamber a
+        # root for that trial only
+        weights, _ = matrix._weights_and_masks(A, ch, signs, p)
+        assert all(len(star) == 1 for star, _, _ in matrix._star_rows(kept, weights, p)[0])
+        assert any(len(star) > 1 for star, _, _ in kept.stars)
+        # made afresh from the second draw, the plan equals the first draw's
+        del A._cache["plans"]
+        varchenko_det_mod(A, ch, second, field)
+        assert A._cache["plans"] == {(0, p.bit_length()): kept}
+
+
 def test_star_rows_halve_the_elimination_work():
     # nonzero multipliers of the symmetric kernel on B:4, trial 0: 13,415 on
     # the congruence with one parent per chamber, 7,264 on the star rows
@@ -469,10 +520,10 @@ def test_star_rows_halve_the_elimination_work():
     ch = _gallery_chambers(A)
     _, wbytes, upper = _congruent_upper(A, ch, trial_assignment(A.weight_names(), 0, 0, p), p)
     n, wbits = len(upper), 8 * wbytes
-    reduce = matrix._reducer(n, wbytes, p)
+    reduce, _ = matrix._reducer(n, wbytes, p)
     multipliers = 0
     for k in range(n):
-        row = reduce(upper[k], k)
+        row = reduce(upper[k])
         pivot, *rest = matrix._unpack(row, n - k, wbytes)
         inv = pow(pivot, -1, p)
         for j, f in enumerate(rest):
