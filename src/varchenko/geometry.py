@@ -18,14 +18,16 @@ The pipeline:
                        splits only the regions on the + side of its first
                        hyperplane and mirrors them (-C, witness -w) at the end
   face_of              the zero set of the closed chamber intersected with
-                       one hyperplane: the hyperplanes vanishing on it; facets
-                       come from chamber adjacency, further zeros from the
-                       elimination basis of those already found, and one
-                       feasibility test decides each remaining hyperplane;
-                       the tests run on H_h through the chamber rows,
-                       reduced once against H_h's row (central arrangements
-                       use the origin as base point, and the face table
-                       copies each face of -C from C)
+                       one hyperplane: the hyperplanes vanishing on it; the
+                       chamber's walls (its facets, found by chamber
+                       adjacency and cached per chamber) cut out the closed
+                       chamber, so one feasibility test on the walls alone
+                       decides each wall, and every other zero follows as
+                       the closure of H_h and the zero walls; the tests run
+                       on H_h through the wall rows, reduced once against
+                       H_h's row (central arrangements use the origin as
+                       base point, and the face table copies each face of
+                       -C from C)
   canonical_edge       intersection of a hyperplane subset, closed under
                        implied hyperplanes, by integer Gaussian elimination
   relevant_edges       edges generated by faces, each with its multiplicity
@@ -423,42 +425,60 @@ def canonical_edge(A: Arrangement, subset: Iterable[int]) -> Edge:
 # ---------------------------------------------------------------------------
 
 
+def _walls(A: Arrangement, ci: int) -> tuple[int, ...]:
+    """The walls of chamber ci, in index order: the hyperplanes whose sign
+    flip is a chamber too.  They are the chamber's facets (a segment from C
+    to the flipped chamber crosses no other hyperplane), so the closed
+    chamber is cut out by their inequalities alone.  Cached per chamber
+    index; the chambers are enumerated already."""
+    walls = A._cache.setdefault("walls", {})
+    found = walls.get(ci)
+    if found is None:
+        signs = A._cache["chambers"][ci].signs
+        index = A._cache["chamber_index"]
+        found = walls[ci] = tuple(i for i, s in enumerate(signs)
+                                  if signs[:i] + (-s,) + signs[i + 1:] in index)
+    return found
+
+
 def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> frozenset[int]:
     """The zeros of the face (closure of the chamber) intersect (hyperplane h):
     every hyperplane vanishing identically on it, h included.
 
-    i is a zero iff {H_h = 0, all chamber inequalities weakened, sign_i H_i
-    strict} is infeasible.  The tests run on H_h through the reduced rows:
-    each chamber row is reduced against H_h's once, which clears H_h's pivot
-    column and keeps the row's sign on H_h, so feasible_strict decides
-    inequalities only.  Raises EmptyFaceError when the closed chamber misses
-    H_h (possible only for non-central arrangements).
+    The closed chamber is cut out by its walls (its facet inequalities), so
+    every test sees only the walls: a wall i is a zero iff {H_h = 0, the
+    walls weakened, sign_i H_i strict} is infeasible.  The face's affine
+    hull is the intersection of H_h and the zero walls, so the zeros are
+    their closure: every hyperplane whose row reduces to zero against the
+    elimination basis of those rows.  The tests run on H_h through the
+    reduced rows: each wall row is reduced against H_h's once, which clears
+    H_h's pivot column and keeps the row's sign on H_h, so feasible_strict
+    decides inequalities only.  Raises EmptyFaceError when the closed
+    chamber misses H_h (possible only for non-central arrangements).
 
     Exact shortcuts spare most feasibility tests:
-      * the face is a facet (zeros {h}) iff the chamber with sign h flipped
-        exists;
+      * the face is a facet (zeros {h}) iff h is a wall;
       * on a central arrangement the origin lies in every closed face, so it
         serves as the base point and the face is never empty;
-      * a hyperplane containing the flat cut out by the zeros found so far
-        contains the face, so it is a zero without a test;
-      * a hyperplane strict at the average of the feasible tests' witnesses,
-        a point of the face by convexity, is not a zero.
+      * a wall whose row reduces to zero against the basis of the zeros
+        found so far contains the face, so it is a zero without a test;
+      * a wall strict at the average of the feasible tests' witnesses, a
+        point of the face by convexity, is not a zero.
     """
     ci = chamber_index(A, chamber)
     if not (0 <= h < len(A.hyperplanes)):
         raise GeometryError(f"hyperplane index {h} out of range")
-    signs = A._cache["chambers"][ci].signs  # enumerated by chamber_index
+    walls = _walls(A, ci)
+    if h in walls:
+        return frozenset([h])
+    signs = A._cache["chambers"][ci].signs
     dim = A.dimension
     rows = A.rows
 
-    flipped = signs[:h] + (-signs[h],) + signs[h + 1:]
-    if flipped in A._cache["chamber_index"]:
-        return frozenset([h])
-
     basis: list[tuple[int, list[int]]] = []
     _extend_basis(basis, rows[h][0], dim)
-    sides = {i: _reduce_row(rows[i][s < 0], basis) for i, s in enumerate(signs) if i != h}
-    weak = [(side, ">=") for side in sides.values()]
+    sides = [_reduce_row(rows[i][signs[i] < 0], basis) for i in walls]
+    weak = [(side, ">=") for side in sides]
     if A.central:
         nums, den = (0,) * dim, 1
     else:
@@ -469,24 +489,22 @@ def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> frozenset[i
 
     # nums / den is the sum of the k witnesses found so far
     k = 1
-    zeros = {h}
-    for i, side in sides.items():
+    for side in sides:
         if _at(side, nums, den * k) > 0:
             continue
         row = _reduce_row(side, basis)
         if not any(row):
-            zeros.add(i)
-            continue
+            continue  # a zero already, in the closure below
         wi = feasible_strict(weak + [(side, ">")], dim)
         if wi is None:
-            zeros.add(i)
             _extend_basis(basis, row, dim)
         else:
             k += 1
             wn, wd = wi
             nums = tuple(x * wd + y * den for x, y in zip(nums, wn))
             den *= wd
-    return frozenset(zeros)
+    return frozenset(i for i, (row, _) in enumerate(rows)
+                     if not any(_reduce_row(row, basis)))
 
 
 def _face_edge_table(A: Arrangement) -> dict:

@@ -309,12 +309,24 @@ def test_face_scan_matches_lp_reference_on_random_arrangements(A):
     _check_face_scan_against_reference(A)
 
 
+@given(small_arrangements(max_dim=4))
+@settings(max_examples=40, deadline=None)
+def test_face_scan_matches_lp_reference_up_to_dimension_4(A):
+    _check_face_scan_against_reference(A)
+
+
 def _counting(calls):
     """feasible_strict, recording in `calls` the size of each system."""
     def counting(system, dim):
         calls.append(len(system))
         return feasible_strict(system, dim)
     return counting
+
+
+# Rows summed over a face scan's systems.  Systems of every other chamber
+# row, not the walls alone, summed 24,192 (D:4), 9,000 (A:5), 2,592 (B:3)
+# and 384 (I2:8).
+_FACE_SCAN_ROW_LIMITS = {"D:4": 10080, "A:5": 4500, "B:3": 1152, "I2:8": 144}
 
 
 @pytest.mark.parametrize("sel,limit", [("D:4", 2016), ("A:5", 900), ("B:3", 288),
@@ -327,6 +339,7 @@ def test_face_scan_feasibility_call_budget(sel, limit, monkeypatch):
     monkeypatch.setattr(geometry, "feasible_strict", _counting(calls))
     geometry._face_edge_table(A)
     assert len(calls) <= limit
+    assert sum(calls) <= _FACE_SCAN_ROW_LIMITS[sel]
 
 
 def test_face_pairing_check_catches_even_count_corruption():
@@ -607,6 +620,40 @@ def test_partition_identity():
             for z, count in seen.items():
                 assert count % 2 == 0
                 assert count // 2 == multiplicity(A, canonical_edge(A, z), pivot)
+
+
+def _check_chamber_free_identities(A):
+    """For central A with N chambers and m hyperplanes: det M has degree N
+    in each weight a_H, and the factored form has degree 2 l(E) in a_H for
+    each relevant edge E on H, so (i) sum_{E on H} l(E) = N/2 for every H,
+    and, summed over H, (ii) sum_E l(E) |A_E| = N m / 2."""
+    n_chambers = len(enumerate_chambers(A))
+    edges = relevant_edges(A)
+    m = len(A.hyperplanes)
+    for H in range(m):
+        assert 2 * sum(e.multiplicity for e in edges if H in e.containing) == n_chambers
+    assert 2 * sum(e.multiplicity * len(e.containing) for e in edges) == n_chambers * m
+
+
+def _cone(A):
+    """The cone over A: x . n = c becomes (n, -c) . (x, t) = 0 in one
+    dimension more, and t = 0 is added."""
+    hyps = [Hyperplane.make(h.normal + (-h.offset,), 0, h.weight) for h in A.hyperplanes]
+    hyps.append(Hyperplane.make((0,) * A.dimension + (1,), 0, f"w{len(hyps)}"))
+    return Arrangement(A.dimension + 1, hyps)
+
+
+@pytest.mark.parametrize("sel", ["A:3", "A:4", "A:5", "B:3", "B:4", "D:4", "I2:7"])
+def test_chamber_free_identities_on_families(sel):
+    _check_chamber_free_identities(kind(sel))
+
+
+@given(st.one_of(small_arrangements(max_dim=4, shapes=("central",)),
+                 small_arrangements(shapes=("affine", "parallel")).map(_cone)))
+@settings(max_examples=60, deadline=None)
+def test_chamber_free_identities_on_random_central_arrangements_and_cones(A):
+    assert A.central
+    _check_chamber_free_identities(A)
 
 
 # ---------------------------------------------------------------------------
