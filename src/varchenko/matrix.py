@@ -5,10 +5,9 @@ and columns, the (C1, C2) entry is the product of the weights of the
 hyperplanes separating C1 from C2, and the determinant is computed by
 Gaussian elimination in the field.  Nothing here knows about factorizations.
 
-Matrix entries are memoized per separating set (sign vectors are packed into
-bitmasks, so a pair's separating set is one xor), and each new product takes
-one multiply per chunk of 8 hyperplanes, from a table of the chunk's 256
-subproducts.
+Sign vectors are packed into bitmasks, so a pair's separating set is one
+xor.  _product multiplies the weights of a separating set's hyperplanes, for
+every entry that is not walked from another row (see below).
 
 Elimination stores each row as a single big integer with fixed-width
 slots.  A row operation row_r += (p - f) * row_pivot then becomes one scalar
@@ -31,12 +30,13 @@ caller.  It never builds the matrix M: it takes the chambers in gallery
 order (by walls crossed from the first), which leaves more of the
 elimination multipliers zero, and hands the kernel packed upper rows.  A
 diagonal pivot 0 mod p sends it to the row-pivoting kernel, on M's full rows
-joined from the slot memo that the upper rows were built with.
+built the same way as the upper rows.
 
-Below _CONGRUENCE_MIN chambers the upper rows are M's own, joined from the
-slot memo.  From it on, they are those of a congruent matrix N = T M T^T, T
-lower triangular, whose rows come from codimension-2 stars.  Nothing of the
-factorization is used.
+Below _CONGRUENCE_MIN chambers the upper rows are M's own, and so are the
+fallback's full rows, joined from a memo of slot bytes per separating set
+(_SlotBytes).  From it on, they are those of a congruent matrix N = T M T^T,
+T lower triangular, whose rows come from codimension-2 stars.  Nothing of
+the factorization is used.
 
 A descent wall of chamber c separates it from the first chamber, has a
 weight nonzero mod p, and flipping it gives a chamber.  Two non-parallel
@@ -80,7 +80,9 @@ over the square of T's diagonal product.
 A row of M is walked from its parent's, each slot times w on the parent's
 side of the wall and w^-1 on the other, by Shoup's multiplication, which
 leaves every slot below 2p without a packed reduction; a chamber without a
-parent joins its row from the memo.  A count row per chamber, walked
+parent packs its row from _product, one product per column.  With every
+weight nonzero mod p, as in the verifiers' trials, that is the first chamber
+alone, so this path builds no memo.  A count row per chamber, walked
 alongside, marks the columns whose flat is not on its far side.  Every row
 is dropped after its last use, so the walk holds the rows of two or three
 gallery levels at once.  The elimination on N takes about half the nonzero
@@ -100,8 +102,6 @@ of M's rows at 64-127 chambers, 1.07x at 128-191, 0.88x at 192-255 and
 from __future__ import annotations
 
 from itertools import compress, repeat
-from operator import itemgetter
-from struct import iter_unpack
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .exactalg import FactoredProduct, MissingVariableError, PrimeField
@@ -130,33 +130,28 @@ def _weights_and_masks(A: Arrangement, chambers: Sequence[Chamber],
     return weights, masks
 
 
-class _SlotBytes(dict):
-    """Separating-set mask -> product of its hyperplanes' weights mod p, as
-    one little-endian slot of wbytes bytes.
+def _product(weights: Sequence[int], mask: int, p: int) -> int:
+    """The product mod p of the weights of the hyperplanes in the mask."""
+    x = 1
+    while mask:
+        x = x * weights[(mask & -mask).bit_length() - 1] % p
+        mask &= mask - 1
+    return x
 
-    A miss costs one multiply per chunk of 8 hyperplanes, read from a table
-    of the chunk's 256 subproducts.  Misses go through __missing__, so the
-    memo holds no reference to itself and is freed with its last user."""
+
+class _SlotBytes(dict):
+    """Separating-set mask -> _product of the mask, as one little-endian slot
+    of wbytes bytes.  Misses go through __missing__, so the memo holds no
+    reference to itself and is freed with its last user."""
 
     def __init__(self, weights: Sequence[int], p: int, wbytes: int):
         super().__init__()
+        self.weights = weights
         self.p = p
         self.wbytes = wbytes
-        self.tables = []
-        for k in range(0, len(weights), 8):
-            table = [1]
-            for w in weights[k:k + 8]:
-                table += [x * w % p for x in table]
-            self.tables.append(table)
 
     def __missing__(self, mask: int) -> bytes:
-        p = self.p
-        acc = 1
-        m = mask
-        for table in self.tables:
-            acc = acc * table[m & 255] % p
-            m >>= 8
-        value = self[mask] = acc.to_bytes(self.wbytes, "little")
+        value = self[mask] = _product(self.weights, mask, self.p).to_bytes(self.wbytes, "little")
         return value
 
 
@@ -177,9 +172,11 @@ def varchenko_matrix_eval(A: Arrangement, chambers: Sequence[Chamber],
     in the field, so the matrix is symmetric with unit diagonal."""
     p = field.p
     weights, masks = _weights_and_masks(A, chambers, assignment, p)
-    n = len(masks)
-    slots = _SlotBytes(weights, p, _slot_bytes(n, p))
-    return [_unpack(row, n, slots.wbytes) for row in _joined_rows(slots, masks, upper=False)]
+    rows = [[1] * len(masks) for _ in masks]
+    for i, mi in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            rows[i][j] = rows[j][i] = _product(weights, mi ^ masks[j], p)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +185,11 @@ def varchenko_matrix_eval(A: Arrangement, chambers: Sequence[Chamber],
 
 
 def _pack(slots: Iterable[int], wbytes: int) -> int:
-    """The slots as one int, the first in the lowest wbytes bytes.  Like
-    _unpack, it runs slot by slot in C, through map, with no Python frame
-    per slot."""
+    """The slots, each below 2^(8 * wbytes), as one int, the first in the
+    lowest wbytes bytes.  It runs slot by slot in C, through map, with no
+    Python frame per slot."""
     return int.from_bytes(
         b"".join(map(int.to_bytes, slots, repeat(wbytes), repeat("little"))), "little")
-
-
-def _unpack(row: int, count: int, wbytes: int) -> list[int]:
-    """The count slots of row."""
-    data = row.to_bytes(count * wbytes, "little")
-    chunks = map(itemgetter(0), iter_unpack(f"{wbytes}s", data))
-    return list(map(int.from_bytes, chunks, repeat("little")))
 
 
 def _slot_bytes(n: int, p: int, s: int = 1) -> int:
@@ -376,11 +366,7 @@ def _local_inverse_row(weights: Sequence[int], regions: Sequence[int], top: int,
     aug = [[1] * k + [int(q == top)] for q in regions]
     for i, q in enumerate(regions):
         for j in range(i + 1, k):
-            x, bits = 1, q ^ regions[j]
-            while bits:
-                x = x * weights[(bits & -bits).bit_length() - 1] % p
-                bits &= bits - 1
-            aug[i][j] = aug[j][i] = x
+            aug[i][j] = aug[j][i] = _product(weights, q ^ regions[j], p)
     # elimination to an upper triangle U t = b, without division
     for i in range(k):
         piv = next((j for j in range(i, k) if aug[j][i]), None)
@@ -601,34 +587,32 @@ def _crossing(plan: _Plan, weights: Sequence[int], p: int) -> Callable[[int, int
     return cross
 
 
-def _walked_rows(plan: _Plan, weights: Sequence[int], slots: _SlotBytes) -> list[int]:
+def _walked_rows(plan: _Plan, weights: Sequence[int], p: int) -> list[int]:
     """M's full rows, slots below 2p, for the plan's masks: each crossed
-    from its parent's row, or joined from the slot memo without a parent."""
-    cross = _crossing(plan, weights, slots.p)
+    from its parent's row, or packed from _product without a parent."""
+    cross = _crossing(plan, weights, p)
     masks = plan.masks
     rows: list[int] = []
     for c, pc in enumerate(plan.parent):
         if pc < 0:
-            rows.append(int.from_bytes(b"".join(map(slots.__getitem__,
-                                                    map(masks[c].__xor__, masks))), "little"))
+            rows.append(_pack([_product(weights, masks[c] ^ m, p) for m in masks], plan.wbytes))
         else:
             rows.append(cross(rows[pc], (masks[c] ^ masks[pc]).bit_length() - 1, 0))
     return rows
 
 
 def _congruent_rows(plan: _Plan, stars: _StarRows, layout: _Layout,
-                    weights: Sequence[int], slots: _SlotBytes) -> list[int]:
+                    weights: Sequence[int], p: int) -> list[int]:
     """Packed upper rows of N = T M T^T, for the matrix M of the plan's
     masks and the rows of T and their layout that _star_rows gives.  A slot
     starts below 2 s p^2, s the largest star.
 
     Row c of N is built by the rules of the module docstring.  Row x of M
-    is walked from its parent's, or joined from the slot memo without one,
-    and dropped after its last use."""
-    masks, parent, near = plan.masks, plan.parent, plan.near
+    is walked from its parent's, or packed from _product without one, and
+    dropped after its last use."""
+    masks, parent, near, wbytes = plan.masks, plan.parent, plan.near, plan.wbytes
     last, last_child, through, count0 = layout
     n = len(masks)
-    p, wbytes = slots.p, slots.wbytes
     wbits = 8 * wbytes
     w1 = wbits - 1
     base = masks[0]
@@ -651,8 +635,7 @@ def _congruent_rows(plan: _Plan, stars: _StarRows, layout: _Layout,
         shift = c * wbits
         pc = parent[c]
         if pc < 0:
-            mc = int.from_bytes(b"".join(map(slots.__getitem__, map(masks[c].__xor__, masks[c:]))),
-                                "little")
+            mc = _pack([_product(weights, masks[c] ^ m, p) for m in masks[c:]], wbytes)
             count = count0 - sum(through[bit.bit_length() - 1]
                                  for bit in _bits(masks[c] ^ base)) >> shift
         else:
@@ -703,8 +686,9 @@ def varchenko_det_mod(A: Arrangement, chambers: Sequence[Chamber],
     keeps the determinant.  From _CONGRUENCE_MIN chambers on, the kernel
     eliminates the congruent matrix N = T M T^T (_congruent_rows), whose
     leading principal minors are M's times nonzero squares.  A zero diagonal
-    pivot falls back to the row-pivoting kernel on M's full rows, joined in
-    the same order from the same slot memo."""
+    pivot falls back to the row-pivoting kernel on M's full rows in the same
+    order: walked from their gallery parents on the star path, else joined
+    from the same slot memo."""
     p = field.p
     weights, masks = _weights_and_masks(A, chambers, assignment, p)
     base = masks[0] if masks else 0
@@ -714,21 +698,22 @@ def varchenko_det_mod(A: Arrangement, chambers: Sequence[Chamber],
     if n >= _CONGRUENCE_MIN:
         plan = _plan(A, masks, weights, p)
         stars, layout = _star_rows(plan, weights, p)
-        slots = _SlotBytes(weights, p, plan.wbytes)
-        upper = _congruent_rows(plan, stars, layout, weights, slots)
+        wbytes = plan.wbytes
+        upper = _congruent_rows(plan, stars, layout, weights, p)
         # det N is det M times the square of T's diagonal product
         for _, coeffs, _ in stars:
             scale = scale * coeffs[-1] % p
     else:
         slots = _SlotBytes(weights, p, _slot_bytes(n, p))
+        wbytes = slots.wbytes
         upper = _joined_rows(slots, masks, upper=True)
-    det = _det_symmetric(upper, slots.wbytes, p)
+    det = _det_symmetric(upper, wbytes, p)
     if det is None:
         if n >= _CONGRUENCE_MIN:
-            full = _walked_rows(plan, weights, slots)
+            full = _walked_rows(plan, weights, p)
         else:
             full = _joined_rows(slots, masks, upper=False)
-        return _det_pivoting(full, slots.wbytes, p)
+        return _det_pivoting(full, wbytes, p)
     return det * pow(scale, -2, p) % p
 
 

@@ -25,6 +25,12 @@ def separating_set(c1, c2):
     return frozenset(i for i, (a, b) in enumerate(zip(c1.signs, c2.signs)) if a != b)
 
 
+def _unpack(row, count, wbytes):
+    """The count slots of a packed row, the first in its lowest wbytes bytes."""
+    data = row.to_bytes(count * wbytes, "little")
+    return [int.from_bytes(data[i:i + wbytes], "little") for i in range(0, len(data), wbytes)]
+
+
 def _det_simple(rows, p):
     """Textbook row-by-row elimination mod p: the reference for det_mod."""
     n = len(rows)
@@ -141,12 +147,25 @@ def test_zero_weights_give_identity_matrix():
 
 
 def test_matrix_symmetric_with_unit_diagonal():
-    A = kind("I2:5")
-    ch = enumerate_chambers(A)
-    M = varchenko_matrix_eval(A, ch, {w: 3 + i for i, w in enumerate(A.weight_names())}, F)
-    n = len(ch)
-    assert all(M[i][i] == 1 for i in range(n))
-    assert all(M[i][j] == M[j][i] for i in range(n) for j in range(n))
+    # every entry is the product of the weights over the separating set; B:3
+    # (9 hyperplanes) and the 20 points on a line have masks of more than 8 bits
+    p = F.p
+    line = Arrangement(1, [Hyperplane.make((1,), b, f"w{b}") for b in range(20)])
+    for A in (kind("I2:5"), kind("B:3"), line):
+        ch = enumerate_chambers(A)
+        n = len(ch)
+        names = A.weight_names()
+        for assignment in [{w: 3 + i for i, w in enumerate(names)},
+                           trial_assignment(names, 0, 0, p), *_zero_weight_assignments(A, p)]:
+            M = varchenko_matrix_eval(A, ch, assignment, F)
+            assert all(M[i][i] == 1 for i in range(n))
+            assert all(M[i][j] == M[j][i] for i in range(n) for j in range(n))
+            for i in range(n):
+                for j in range(n):
+                    expect = 1
+                    for h in separating_set(ch[i], ch[j]):
+                        expect = expect * assignment[A.hyperplanes[h].weight] % p
+                    assert M[i][j] == expect
 
 
 def test_d2_matrix_is_tensor_product():
@@ -264,7 +283,7 @@ def test_packed_reduction_at_the_slot_bound(p, n):
         for first in {0, n // 2, n - 1}:
             row = matrix._pack(slots[first:], wbytes)
             reduced = reduce(row)
-            got = matrix._unpack(reduced, n - first, wbytes)
+            got = _unpack(reduced, n - first, wbytes)
             assert got == [x % p for x in slots[first:]]
             assert list(nonzero(reduced)) == [j for j, x in enumerate(slots[first:]) if x % p]
 
@@ -427,8 +446,7 @@ def _congruent_upper(A, ch, assignment, p):
     weights, masks = matrix._weights_and_masks(A, ch, assignment, p)
     plan = matrix._plan(A, masks, weights, p)
     stars, layout = matrix._star_rows(plan, weights, p)
-    slots = matrix._SlotBytes(weights, p, plan.wbytes)
-    return stars, plan.wbytes, matrix._congruent_rows(plan, stars, layout, weights, slots)
+    return stars, plan.wbytes, matrix._congruent_rows(plan, stars, layout, weights, p)
 
 
 def _gallery_chambers(A):
@@ -459,7 +477,7 @@ def test_congruent_rows_keep_every_leading_minor(sel, p):
             assert max(len(star) for star, _, _ in stars) == 12
         n = len(ch)
         s = max(len(star) for star, _, _ in stars)
-        upper = [matrix._unpack(row, n - i, wbytes) for i, row in enumerate(rows)]
+        upper = [_unpack(row, n - i, wbytes) for i, row in enumerate(rows)]
         assert all(x < 2 * s * p * p for row in upper for x in row)
         N = _symmetric([x % p for row in upper for x in row], n)
         scale = 1
@@ -524,7 +542,7 @@ def test_star_rows_halve_the_elimination_work():
     multipliers = 0
     for k in range(n):
         row = reduce(upper[k])
-        pivot, *rest = matrix._unpack(row, n - k, wbytes)
+        pivot, *rest = _unpack(row, n - k, wbytes)
         inv = pow(pivot, -1, p)
         for j, f in enumerate(rest):
             if f:
