@@ -9,13 +9,15 @@ A relation is a pair (form, rel) where form is a sequence of dim+1 integers
 a_1, ..., a_n, c representing the affine function a.x + c, and rel is ">" or
 ">=" (meaning a.x + c REL 0).  A rational form is scaled to integers by the
 caller, and an equation is two opposite ">=" rows.  The witness is returned as
-(nums, den): the point nums / den with den >= 1 and gcd(den, *nums) == 1.
+one homogeneous integer vector w = (x_1, ..., x_n, x0): the point x / x0, with
+x0 >= 1 and gcd(*w) == 1, so a form's value there times x0 is the dot product
+of the form with w.
 
 Implementation notes:
   * elimination is on the integer rows as they are given (neither pivot
     choice nor witness depends on a row's scale); witness back-substitution
-    takes integer dot products over the point's one denominator, and only
-    the bounds a round puts on its variable are Fractions,
+    takes integer dot products with the homogeneous point, and only the
+    bounds a round puts on its variable are Fractions,
   * derived rows are gcd-normalized and deduplicated; for identical
     coefficient vectors only the tightest constant is kept (this is what
     keeps Fourier-Motzkin growth tame on reflection-arrangement systems),
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from .exactalg import InternalConsistencyError
@@ -54,29 +57,17 @@ def _checked_row(form: Sequence[int], rel: str, dim: int):
 
 
 def _normalize(coefs: tuple, const: int):
-    g = 0
-    for v in coefs:
-        g = gcd(g, v)
-    g = gcd(g, const)
+    g = gcd(*coefs, const)
     if g > 1:
         coefs = tuple(v // g for v in coefs)
         const //= g
     return coefs, const
 
 
-def _at(row: Sequence[int], nums: Sequence[int], den: int) -> int:
-    """den times the value of the integer row (coefficients, then constant)
-    at the point nums / den."""
-    return sum(a * x for a, x in zip(row, nums)) + row[-1] * den
-
-
-def _assign(nums: list[int], den: int, var: int, x: Fraction):
-    """The point nums / den, in lowest terms and with x_var 0, with den * x_var
-    set to x.  The result is in lowest terms too: a prime dividing it all
-    cannot divide x's denominator, so it divides den and every old numerator."""
-    nums = [v * x.denominator for v in nums]
-    nums[var] = x.numerator
-    return nums, den * x.denominator
+def _at(row: Sequence[int], w: Sequence[int]) -> int:
+    """x0 times the value of the integer row (coefficients, then constant)
+    at the homogeneous point w = (x, x0)."""
+    return sum(map(mul, row, w))
 
 
 class _Infeasible(Exception):
@@ -96,12 +87,12 @@ def _add_row(rows: dict, coefs: tuple, const: int, strict: bool):
         rows[coefs] = (const, strict)
 
 
-def feasible_strict(system: list[Relation],
-                    dim: int) -> Optional[tuple[tuple[int, ...], int]]:
+def feasible_strict(system: list[Relation], dim: int) -> Optional[tuple[int, ...]]:
     """Decide the system of integer forms exactly; return a witness point as
-    (nums, den), den >= 1 and gcd(den, *nums) == 1, or None.
+    the homogeneous integer vector (x_1, ..., x_dim, x0), x0 >= 1 and
+    gcd(*w) == 1, or None.
 
-    The witness nums / den strictly satisfies every ">" relation and weakly
+    The witness x / x0 strictly satisfies every ">" relation and weakly
     every ">=".
     """
     rows: dict = {}   # coefs -> (const, strict)
@@ -143,12 +134,14 @@ def feasible_strict(system: list[Relation],
 
     # Feasible.  Reconstruct a witness: free variables get 0, then walk the
     # Fourier-Motzkin rounds in reverse.  Each variable is eliminated once, so
-    # x_var is still 0 when its turn comes, and a row bounds den * x_var by
-    # -_at(row) / a_var.
-    nums, den = [0] * dim, 1
+    # x_var is still 0 when its turn comes, and a row bounds x0 * x_var by
+    # -_at(row) / a_var.  Setting x0 * x_var to x scales w by x's denominator,
+    # which keeps it in lowest terms: a prime dividing it all cannot divide
+    # that denominator, so it divides every old entry.
+    w = [0] * dim + [1]
     for var, pos, neg in reversed(rounds):
-        lo = [(Fraction(-_at(c + (k,), nums, den), c[var]), s) for c, k, s in pos]
-        up = [(Fraction(-_at(c + (k,), nums, den), c[var]), s) for c, k, s in neg]
+        lo = [(Fraction(-_at(c + (k,), w), c[var]), s) for c, k, s in pos]
+        up = [(Fraction(-_at(c + (k,), w), c[var]), s) for c, k, s in neg]
         if lo and up:
             low, high = max(lo)[0], min(up)[0]
             if low < high:
@@ -159,11 +152,12 @@ def feasible_strict(system: list[Relation],
                 x = low
             else:
                 raise InternalConsistencyError(
-                    f"empty range [{low / den}, {high / den}] for variable {var} "
+                    f"empty range [{low / w[-1]}, {high / w[-1]}] for variable {var} "
                     f"in witness back-substitution")
         elif lo:
-            x = max(lo)[0] + den
+            x = max(lo)[0] + w[-1]
         else:
-            x = min(up)[0] - den
-        nums, den = _assign(nums, den, var, x)
-    return tuple(nums), den
+            x = min(up)[0] - w[-1]
+        w = [v * x.denominator for v in w]
+        w[var] = x.numerator
+    return tuple(w)

@@ -4,9 +4,10 @@ The engine is fully exact and works for any arrangement with rational
 coefficients, central or not.  Each hyperplane enters the hot loops as its
 primitive integer row (normal, -offset), which the Arrangement constructor
 computes once (Arrangement.rows) and also uses for its duplicate check and
-its centrality flag (Arrangement.central).  Points are integer numerators
-over one common denominator, so a sign test is one integer dot product, and
-feasible_strict takes and returns that format.
+its centrality flag (Arrangement.central).  A point is one homogeneous
+integer vector w = (x_1, ..., x_d, x0) with x0 >= 1, standing for x / x0, so
+a row's value there times x0 is one integer dot product, and
+feasible_strict takes rows and returns points in that format.
 Fractions remain only in the chamber witnesses handed out here.
 The pipeline:
 
@@ -47,12 +48,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .exactalg import (FactoredProduct, InternalConsistencyError, Monomial,
                        validate_var)
-from .feasibility import _at, feasible_strict
+from .feasibility import feasible_strict
 
 DEFAULT_MAX_HYPERPLANES = 32
 DEFAULT_MAX_CHAMBERS = 6000
@@ -253,8 +254,8 @@ def enumerate_chambers(A: Arrangement,
         raise GuardExceededError("hyperplane", m, limit_h)
     regions = _regions([up for up, _ in A.rows], A.dimension, limit_c)
     regions.sort(key=lambda r: tuple(0 if s > 0 else 1 for s in r[0]))
-    chambers = tuple(Chamber(signs, tuple(Fraction(x, den) for x in nums))
-                     for signs, nums, den in regions)
+    chambers = tuple(Chamber(signs, tuple(Fraction(x, w[-1]) for x in w[:-1]))
+                     for signs, w in regions)
     A._cache["chambers"] = chambers
     A._cache["chamber_index"] = {c.signs: i for i, c in enumerate(chambers)}
     return chambers
@@ -263,7 +264,8 @@ def enumerate_chambers(A: Arrangement,
 def _regions(rows: list, dim: int, limit: Optional[int] = None,
              half: bool = False) -> list:
     """The regions of the pairwise non-proportional primitive integer rows
-    in Q^dim, each as (signs, witness numerators, witness denominator).
+    in Q^dim, each as (signs, witness), the witness a homogeneous point
+    (x, x0) in lowest terms.
 
     On a central arrangement the regions on the + side of rows[0] come
     first and their mirror images after; `half` returns the first half
@@ -271,48 +273,45 @@ def _regions(rows: list, dim: int, limit: Optional[int] = None,
     """
     central = bool(rows) and not any(r[-1] for r in rows)
     share = 2 if central else 1
-    regions = [((), (0,) * dim, 1)]
+    regions = [((), (0,) * dim + (1,))]
     for k, H in enumerate(rows):
-        normal = H[:-1]
+        normal = H[:-1] + (0,)  # the direction n_H, x0 unchanged
         known = rows[:k]
         restricted, source, b, col = _restriction(known, H, dim)
         p, rest = b[col], b[:col] + b[col + 1:]
         on_h = {}
-        for sub, nums, den in _regions(restricted, dim - 1, half=central):
+        for sub, v in _regions(restricted, dim - 1, half=central):
             # lift onto H: p x_col = -(b . x without column col)
-            y = [p * x for x in nums]
-            y.insert(col, -sum(map(mul, rest, nums)) - rest[-1] * den)
-            on_h[tuple(o if j is None else o * sub[j] for j, o in source)] = y, p * den
+            y = [p * x for x in v]
+            y.insert(col, -sum(map(mul, rest, v)))
+            on_h[tuple(o if j is None else o * sub[j] for j, o in source)] = y
         dots = [abs(sum(map(mul, K, normal))) for K in known]
         new_regions = []
-        for signs, nums, den in regions:
-            cut = on_h.get(signs)
-            if cut is None:
-                side = 1 if sum(map(mul, H, nums)) + H[-1] * den > 0 else -1
-                new_regions.append((signs + (side,), nums, den))
+        for signs, w in regions:
+            y = on_h.get(signs)
+            if y is None:
+                new_regions.append((signs + (1 if sum(map(mul, H, w)) > 0 else -1,), w))
                 continue
-            # t = qn / (2 qd den), qn / qd the smallest |den K(y)| / |n_K . n_H|
-            nums, den = cut
+            # t = qn / (2 qd x0), qn / qd the smallest |x0 K(y)| / |n_K . n_H|
             q = None
             for K, c in zip(known, dots):
                 if c:
-                    kw = abs(sum(map(mul, K, nums)) + K[-1] * den)
+                    kw = abs(sum(map(mul, K, y)))
                     if q is None or kw * q[1] < q[0] * c:
                         q = (kw, c)
             qn, qd = q or (1, 1)
             for side in (1, -1):
-                shifted = [2 * qd * x + side * qn * a for x, a in zip(nums, normal)]
-                d = 2 * qd * den
-                g = gcd(d, *shifted)
-                new_regions.append((signs + (side,), tuple(x // g for x in shifted), d // g))
+                shifted = [2 * qd * x + side * qn * a for x, a in zip(y, normal)]
+                g = gcd(*shifted)
+                new_regions.append((signs + (side,), tuple(x // g for x in shifted)))
         if k == 0 and central:
             del new_regions[1:]  # the origin split H_0: keep its + side
         if limit is not None and share * len(new_regions) > limit:
             raise GuardExceededError("chamber", share * len(new_regions), limit)
         regions = new_regions
     if central and not half:
-        regions += [(tuple(-s for s in signs), tuple(-x for x in nums), den)
-                    for signs, nums, den in regions]
+        regions += [(tuple(-s for s in signs), tuple(-x for x in w[:-1]) + w[-1:])
+                    for signs, w in regions]
     return regions
 
 
@@ -462,8 +461,10 @@ def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> frozenset[i
         serves as the base point and the face is never empty;
       * a wall whose row reduces to zero against the basis of the zeros
         found so far contains the face, so it is a zero without a test;
-      * a wall strict at the average of the feasible tests' witnesses, a
-        point of the face by convexity, is not a zero.
+      * a wall strict at the running sum of the base point and the feasible
+        tests' witnesses, as homogeneous vectors, is not a zero: that sum is
+        a positive combination of points of the face, so a point of the face
+        too, and a wall strict at one of the points is strict at it.
     """
     ci = chamber_index(A, chamber)
     if not (0 <= h < len(A.hyperplanes)):
@@ -479,18 +480,12 @@ def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> frozenset[i
     _extend_basis(basis, rows[h][0], dim)
     sides = [_reduce_row(rows[i][signs[i] < 0], basis) for i in walls]
     weak = [(side, ">=") for side in sides]
-    if A.central:
-        nums, den = (0,) * dim, 1
-    else:
-        base = feasible_strict(weak, dim)
-        if base is None:
-            raise EmptyFaceError(f"chamber {ci} closure does not meet hyperplane {h}")
-        nums, den = base
-
-    # nums / den is the sum of the k witnesses found so far
-    k = 1
+    # the sum of the base point and the witnesses found so far
+    acc = (0,) * dim + (1,) if A.central else feasible_strict(weak, dim)
+    if acc is None:
+        raise EmptyFaceError(f"chamber {ci} closure does not meet hyperplane {h}")
     for side in sides:
-        if _at(side, nums, den * k) > 0:
+        if sum(map(mul, side, acc)) > 0:
             continue
         row = _reduce_row(side, basis)
         if not any(row):
@@ -499,10 +494,7 @@ def face_of(A: Arrangement, chamber: Union[Chamber, int], h: int) -> frozenset[i
         if wi is None:
             _extend_basis(basis, row, dim)
         else:
-            k += 1
-            wn, wd = wi
-            nums = tuple(x * wd + y * den for x, y in zip(nums, wn))
-            den *= wd
+            acc = tuple(map(add, acc, wi))
     return frozenset(i for i, (row, _) in enumerate(rows)
                      if not any(_reduce_row(row, basis)))
 

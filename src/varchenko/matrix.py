@@ -30,13 +30,12 @@ caller.  It never builds the matrix M: it takes the chambers in gallery
 order (by walls crossed from the first), which leaves more of the
 elimination multipliers zero, and hands the kernel packed upper rows.  A
 diagonal pivot 0 mod p sends it to the row-pivoting kernel, on M's full rows
-built the same way as the upper rows.
+walked from their gallery parents (_walked_rows, below) at every size.
 
-Below _CONGRUENCE_MIN chambers the upper rows are M's own, and so are the
-fallback's full rows, joined from a memo of slot bytes per separating set
-(_SlotBytes).  From it on, they are those of a congruent matrix N = T M T^T,
-T lower triangular, whose rows come from codimension-2 stars.  Nothing of
-the factorization is used.
+Below _CONGRUENCE_MIN chambers the upper rows are M's own, joined from a
+memo of slot bytes per separating set (_SlotBytes).  From it on, they are
+those of a congruent matrix N = T M T^T, T lower triangular, whose rows
+come from codimension-2 stars.  Nothing of the factorization is used.
 
 A descent wall of chamber c separates it from the first chamber, has a
 weight nonzero mod p, and flipping it gives a chamber.  Two non-parallel
@@ -105,7 +104,7 @@ from itertools import compress, repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .exactalg import FactoredProduct, MissingVariableError, PrimeField
-from .geometry import Arrangement, Chamber, _extend_basis, _reduce_row
+from .geometry import Arrangement, Chamber, EmptyIntersectionError, canonical_edge
 
 
 class MatrixError(ValueError):
@@ -155,11 +154,10 @@ class _SlotBytes(dict):
         return value
 
 
-def _joined_rows(slots: _SlotBytes, masks: Sequence[int], upper: bool) -> list[int]:
-    """Row i of the matrix as one packed int, joined from the memoized slot
-    bytes: columns i..n-1 if upper, else all n."""
-    return [int.from_bytes(b"".join(map(slots.__getitem__,
-                                        map(mi.__xor__, masks[i:] if upper else masks))),
+def _joined_rows(slots: _SlotBytes, masks: Sequence[int]) -> list[int]:
+    """Row i of the matrix from column i on, as one packed int joined from
+    the memoized slot bytes."""
+    return [int.from_bytes(b"".join(map(slots.__getitem__, map(mi.__xor__, masks[i:]))),
                            "little")
             for i, mi in enumerate(masks)]
 
@@ -345,16 +343,6 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= bit
 
 
-def _flat(rows: Sequence[Sequence[int]], dim: int, h1: int, h2: int) -> int:
-    """Bitmask of the hyperplanes, given by their integer rows, that contain
-    H_h1 and H_h2's intersection; 0 when the two are parallel."""
-    basis: list[tuple[int, list[int]]] = []
-    _extend_basis(basis, _reduce_row(rows[h1], basis), dim)
-    if not _extend_basis(basis, _reduce_row(rows[h2], basis), dim):
-        return 0
-    return sum(1 << h for h, row in enumerate(rows) if not any(_reduce_row(row, basis)))
-
-
 def _local_inverse_row(weights: Sequence[int], regions: Sequence[int], top: int,
                        p: int) -> dict[int, int] | None:
     """Row `top` of the inverse of the local Varchenko matrix of the regions,
@@ -450,9 +438,10 @@ def _stars(A: Arrangement, masks: Sequence[int], zero: int
     region the mask of those among them that separate it from masks[0].  A
     chamber without a descent wall is a root: ((c,), (0,), 0).
 
-    The flats of hyperplane pairs, and the sign patterns of each flat's
-    regions once a complete star showed them, depend on A alone, so they are
-    kept in A's cache for every zero set."""
+    The flat of a pair is its canonical_edge, 0 for a parallel pair.  The
+    flats of pairs, and the sign patterns of each flat's regions once a
+    complete star showed them, depend on A alone, so they are kept in A's
+    cache for every zero set."""
     n = len(masks)
     base = masks[0]
     index = {m: i for i, m in enumerate(masks)}
@@ -472,8 +461,12 @@ def _stars(A: Arrangement, masks: Sequence[int], zero: int
             for b2 in descent[i + 1:]:
                 flat = flats.get((b1, b2))
                 if flat is None:
-                    flat = flats[b1, b2] = _flat([row for row, _ in A.rows], A.dimension,
-                                                 b1.bit_length() - 1, b2.bit_length() - 1)
+                    try:
+                        edge = canonical_edge(A, (b1.bit_length() - 1, b2.bit_length() - 1))
+                        flat = sum(1 << h for h in edge.containing)
+                    except EmptyIntersectionError:
+                        flat = 0
+                    flats[b1, b2] = flat
                 if flat:
                     candidates.add(flat)
         for flat in sorted(candidates, key=lambda f: (-f.bit_count(), f)):
@@ -687,8 +680,7 @@ def varchenko_det_mod(A: Arrangement, chambers: Sequence[Chamber],
     eliminates the congruent matrix N = T M T^T (_congruent_rows), whose
     leading principal minors are M's times nonzero squares.  A zero diagonal
     pivot falls back to the row-pivoting kernel on M's full rows in the same
-    order: walked from their gallery parents on the star path, else joined
-    from the same slot memo."""
+    order, walked from their gallery parents at every size."""
     p = field.p
     weights, masks = _weights_and_masks(A, chambers, assignment, p)
     base = masks[0] if masks else 0
@@ -704,16 +696,12 @@ def varchenko_det_mod(A: Arrangement, chambers: Sequence[Chamber],
         for _, coeffs, _ in stars:
             scale = scale * coeffs[-1] % p
     else:
-        slots = _SlotBytes(weights, p, _slot_bytes(n, p))
-        wbytes = slots.wbytes
-        upper = _joined_rows(slots, masks, upper=True)
+        wbytes = _slot_bytes(n, p)
+        upper = _joined_rows(_SlotBytes(weights, p, wbytes), masks)
     det = _det_symmetric(upper, wbytes, p)
     if det is None:
-        if n >= _CONGRUENCE_MIN:
-            full = _walked_rows(plan, weights, p)
-        else:
-            full = _joined_rows(slots, masks, upper=False)
-        return _det_pivoting(full, wbytes, p)
+        plan = _plan(A, masks, weights, p)
+        return _det_pivoting(_walked_rows(plan, weights, p), plan.wbytes, p)
     return det * pow(scale, -2, p) % p
 
 

@@ -9,12 +9,12 @@ from varchenko.feasibility import DimensionMismatchError, feasible_strict
 
 
 def check_witness(system, dim, witness):
-    """witness is (nums, den), the point nums / den in lowest terms."""
+    """witness is (x, x0), the homogeneous point x / x0 in lowest terms."""
     assert witness is not None
-    nums, den = witness
-    assert len(nums) == dim and den >= 1 and gcd(den, *nums) == 1
+    *xs, x0 = witness
+    assert len(xs) == dim and x0 >= 1 and gcd(*witness) == 1
     for form, rel in system:
-        value = sum(a * Fraction(x, den) for a, x in zip(form, nums)) + form[-1]
+        value = sum(a * Fraction(x, x0) for a, x in zip(form, xs)) + form[-1]
         assert value > 0 if rel == ">" else value >= 0
 
 
@@ -37,14 +37,14 @@ def test_braid_all_plus_chamber_feasible():
     system = [((1, -1, 0, 0), ">"), ((1, 0, -1, 0), ">"), ((0, 1, -1, 0), ">")]
     w = feasible_strict(system, 3)
     check_witness(system, 3, w)
-    nums, _ = w
-    assert nums[0] > nums[1] > nums[2]
+    x1, x2, x3, _ = w
+    assert x1 > x2 > x3
 
 
 def test_weak_boundary_point():
     system = [((1, 0), ">="), ((-1, 0), ">=")]
     w = feasible_strict(system, 1)
-    assert w == ((0,), 1)
+    assert w == (0, 1)
 
 
 def test_strict_against_weak_infeasible():
@@ -54,7 +54,7 @@ def test_strict_against_weak_infeasible():
 def test_equalities_substitute():
     system = equation((1, 0, -1)) + equation((0, 1, -2)) + [((1, 1, -3), ">=")]
     w = feasible_strict(system, 2)
-    assert w == ((1, 2), 1)
+    assert w == (1, 2, 1)
 
 
 def test_equality_conflict():
@@ -68,11 +68,11 @@ def test_equality_with_strict_violation():
 @pytest.mark.parametrize("system,witness", [
     # 0 < x < 1 and 0 < 3y < x: the midpoints x = 1/2, y = 1/12
     ([((1, 0, 0), ">"), ((-1, 0, 1), ">"), ((0, 1, 0), ">"), ((1, -3, 0), ">")],
-     ((6, 1), 12)),
+     (6, 1, 12)),
     # x > y with x otherwise free, 0 < y < 1: y = 1/2, x = y + 1
-    ([((1, -1, 0), ">"), ((0, 1, 0), ">"), ((0, -1, 1), ">")], ((3, 1), 2)),
+    ([((1, -1, 0), ">"), ((0, 1, 0), ">"), ((0, -1, 1), ">")], (3, 1, 2)),
     # x < y with x otherwise free, 0 < y < 1: y = 1/2, x = y - 1
-    ([((-1, 1, 0), ">"), ((0, 1, 0), ">"), ((0, -1, 1), ">")], ((-1, 1), 2)),
+    ([((-1, 1, 0), ">"), ((0, 1, 0), ">"), ((0, -1, 1), ">")], (-1, 1, 2)),
 ])
 def test_witness_over_common_denominator(system, witness):
     # the midpoint of two bounds, lower bound + 1, upper bound - 1

@@ -383,8 +383,8 @@ def _enumerate_chambers_lp(A):
                     continue
                 w = feasible_strict(cand_rows, A.dimension)
                 if w is not None:
-                    nums, den = w
-                    split.append((signs + (cand,), tuple(Fraction(x, den) for x in nums),
+                    *xs, x0 = w
+                    split.append((signs + (cand,), tuple(Fraction(x, x0) for x in xs),
                                   cand_rows))
         regions = split
     signs = sorted((r[0] for r in regions), key=lambda sv: tuple(0 if s > 0 else 1 for s in sv))

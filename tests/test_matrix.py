@@ -386,15 +386,22 @@ def test_varchenko_det_mod_zero_pivot_falls_back(monkeypatch):
     # A:3 at p = 7, trial 0: a diagonal pivot vanishes in gallery order, yet
     # the determinant is 2, so only the row-pivoting fallback can compute it.
     # The congruent rows have M's leading minors times nonzero squares, so
-    # they must meet the same zero pivot and fall back once too.
-    calls = []
-    pivoting = matrix._det_pivoting
+    # they must meet the same zero pivot and fall back once too.  On both
+    # paths the fallback's full rows are M's rows walked from their gallery
+    # parents, walked once per call.
+    calls, walked = [], []
+    pivoting, walking = matrix._det_pivoting, matrix._walked_rows
 
     def counting(packed, wbytes, p):
-        calls.append(len(packed))
+        calls.append((len(packed), any(packed is rows for rows in walked)))
         return pivoting(packed, wbytes, p)
 
+    def walked_rows(plan, weights, p):
+        walked.append(walking(plan, weights, p))
+        return walked[-1]
+
     monkeypatch.setattr(matrix, "_det_pivoting", counting)
+    monkeypatch.setattr(matrix, "_walked_rows", walked_rows)
     A, field = kind("A:3"), PrimeField(7)
     ch = enumerate_chambers(A)
     assignment = trial_assignment(A.weight_names(), 0, 0, field.p)
@@ -402,8 +409,10 @@ def test_varchenko_det_mod_zero_pivot_falls_back(monkeypatch):
     for n0 in (matrix._CONGRUENCE_MIN, 1):
         monkeypatch.setattr(matrix, "_CONGRUENCE_MIN", n0)
         calls.clear()
+        walked.clear()
         det = varchenko_det_mod(A, ch, assignment, field)
-        assert calls == [6]
+        assert calls == [(6, True)]
+        assert len(walked) == 1
         assert det == expect == 2
 
 
