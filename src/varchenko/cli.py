@@ -7,16 +7,19 @@ chambers and edges also have a plain-text form (the default), and the text
 form of `family` is itself a valid arrangement file.
 
 `COMMANDS` is the one place where a command's name, help, arguments and
-handler live.  A call builds the parser of the command it runs alone: the
-full parser, about four times the work, is built only for -h and for a
-missing or unknown command.
+handler live.  A call parses its arguments with the parser of the command it
+runs alone, the one the full parser's subparser would be.  The full parser is
+built only for -h, a missing or unknown command and arguments the command's
+parser leaves over, so its own messages and exits stay the CLI's.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
+from functools import partial
 from pathlib import Path
 
 from .closedform import formula, printed_edges, zagier
@@ -283,31 +286,36 @@ COMMANDS = {
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser with every command, or with `command`'s alone."""
+    """The parser with every command, or `command`'s parser alone, the same
+    as the full parser's subparser for it."""
+    # argparse's own width, queried once per build, not once per argument
+    formatter = partial(argparse.HelpFormatter,
+                        width=shutil.get_terminal_size().columns - 2)
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"varchenko {command}",
+                                         formatter_class=formatter)
+        COMMANDS[command][1](parser)
+        return parser
     parser = argparse.ArgumentParser(
-        prog="varchenko",
+        prog="varchenko", formatter_class=formatter,
         description="Exact toolkit for weighted hyperplane arrangements and "
                     "their factored matrix determinants.")
-    if command is None:
-        subs = parser.add_subparsers(dest="command", required=True)
-    else:
-        # the usage line still names every command, so top-level errors read
-        # as the full parser's; the full parser keeps argparse's own metavar,
-        # as setting it changes the "invalid choice" and "required" messages
-        subs = parser.add_subparsers(dest="command", required=True,
-                                     metavar="{" + ",".join(COMMANDS) + "}")
-    for name in COMMANDS if command is None else (command,):
-        help_text, add_arguments = COMMANDS[name]
-        add_arguments(subs.add_parser(name, help=help_text))
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        add_arguments(subs.add_parser(name, help=help_text, formatter_class=formatter))
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # -h, a missing and an unknown command need the full parser
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = rest = None
+    if argv and argv[0] in COMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+    # -h, a missing or unknown command and leftover arguments take the full
+    # parser, so its own help, usage and errors are the CLI's
+    if args is None or rest:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

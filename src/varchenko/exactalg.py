@@ -141,6 +141,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Default modulus for identity testing: the Mersenne prime 2^61 - 1.
+DEFAULT_PRIME = (1 << 61) - 1
+
+
 class PrimeField:
     """Arithmetic mod a word-sized prime.  Elements are plain reduced ints.
 
@@ -153,16 +157,13 @@ class PrimeField:
     def __init__(self, modulus: int):
         if not isinstance(modulus, int) or modulus >= 1 << 63:
             raise NotPrimeError(f"modulus must be an int below 2^63, got {modulus!r}")
-        if not is_prime(modulus):
+        # 2^61 - 1 is a Mersenne prime, and most fields use it: no test
+        if modulus != DEFAULT_PRIME and not is_prime(modulus):
             raise NotPrimeError(f"{modulus} is not prime")
         self.p = modulus
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-
-# Default modulus for identity testing: the Mersenne prime 2^61 - 1.
-DEFAULT_PRIME = (1 << 61) - 1
 
 
 # ---------------------------------------------------------------------------

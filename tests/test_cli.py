@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from varchenko import geometry, matrix
+from varchenko import cli, geometry, matrix
 from varchenko.cli import COMMANDS, build_parser, main
 from varchenko.closedform import formula_A, formula_D, zagier
 from varchenko.exactalg import (DEFAULT_PRIME, PrimeField, factored_eval,
@@ -247,17 +248,25 @@ def test_verify_source_choices_are_the_harness_sources():
     assert choices == {"lhs": SOURCES, "rhs": SOURCES}
 
 
-def _subcommands(parser):
-    return list(next(a for a in parser._actions if isinstance(a.choices, dict)).choices)
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a.choices, dict)).choices
+
+
+def _arguments(parser):
+    return [(a.option_strings, a.dest) for a in parser._actions]
 
 
 def test_parser_builds_the_named_command_alone():
-    assert _subcommands(build_parser()) == [
+    subparsers = _subparsers(build_parser())
+    assert list(subparsers) == [
         "family", "chambers", "edges", "det", "formula", "zagier", "verify"]
-    assert _subcommands(build_parser("verify")) == ["verify"]
+    alone = build_parser("verify")
+    assert alone.prog == "varchenko verify"
+    assert _arguments(alone) == _arguments(subparsers["verify"])
 
 
 SUBJECT = ("--kind", "A:3")
+VERIFY = ("verify", *SUBJECT, "--lhs", "formula", "--rhs", "bruteforce")
 
 
 @pytest.mark.parametrize("argv", [
@@ -266,17 +275,43 @@ SUBJECT = ("--kind", "A:3")
     ["verify", *SUBJECT, "--lhs", "nosuch", "--rhs", "bruteforce"],
     ["verify", *SUBJECT, "--lhs", "formula", "--rhs", "bruteforce", "--trials", "x"],
     ["det", *SUBJECT],
+    # arguments the command's parser leaves over, an abbreviated option and
+    # its error, which names the option in full
+    [*VERIFY, "--bogus"], [*VERIFY, "--", "x"], [*VERIFY, "--tri", "2"],
+    [*VERIFY, "--tri", "x"],
 ], ids=lambda argv: " ".join(argv) or "no-arguments")
-def test_main_parses_as_the_full_parser(capsys, argv):
-    # main builds only the invoked command's parser; exits, help and
-    # errors must be those of the parser with every command
-    with pytest.raises(SystemExit) as full:
-        build_parser().parse_args(argv)
-    expected = capsys.readouterr()
-    with pytest.raises(SystemExit) as one:
-        main(argv)
-    got = capsys.readouterr()
-    assert (one.value.code, got.out, got.err) == (full.value.code, expected.out, expected.err)
+def test_main_parses_as_the_full_parser(capsys, monkeypatch, argv):
+    # main builds only the invoked command's parser; the arguments handed
+    # to the command, exits, help and errors must be those of the parser
+    # with every command
+    parsed = []
+    for name in COMMANDS:
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: parsed.append(args) or 0)
+
+    def outcome(parse):
+        try:
+            result = vars(parse())
+            result.pop("command", None)  # the full parser's subparsers dest
+        except SystemExit as exc:
+            result = exc.code
+        out = capsys.readouterr()
+        return result, out.out, out.err
+
+    expected = outcome(lambda: build_parser().parse_args(argv))
+    assert outcome(lambda: main(argv) or parsed.pop()) == expected
+
+
+@pytest.mark.parametrize("columns", ["50", "200"])
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_help_has_argparse_default_width(capsys, monkeypatch, name, columns):
+    # both sides of the parity test share cli's formatter; this one compares
+    # with argparse's default, which reads the terminal width itself
+    monkeypatch.setenv("COLUMNS", columns)
+    reference = argparse.ArgumentParser(prog=f"varchenko {name}")
+    COMMANDS[name][1](reference)
+    with pytest.raises(SystemExit):
+        main([name, "-h"])
+    assert capsys.readouterr().out == reference.format_help()
 
 
 @pytest.mark.parametrize("flag,value", [("--max-chambers", "-1"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varchenko import exactalg
 from varchenko.exactalg import (_MR_BASES, DEFAULT_PRIME, BadVariableNameError,
                                 ExactAlgError, FactoredProduct, MissingVariableError,
                                 Monomial, NotPrimeError, PrimeField,
@@ -69,6 +70,19 @@ def test_primality_check():
     for bad in (4, 1, 0, -7, 1 << 63, 1763):
         with pytest.raises(NotPrimeError):
             PrimeField(bad)
+
+
+def test_prime_field_tests_every_modulus_but_the_default(monkeypatch):
+    with pytest.raises(NotPrimeError):
+        PrimeField(2**61 + 1)
+
+    def refuse(n):
+        raise AssertionError(f"is_prime({n})")
+
+    monkeypatch.setattr(exactalg, "is_prime", refuse)
+    assert PrimeField(DEFAULT_PRIME).p == DEFAULT_PRIME
+    with pytest.raises(AssertionError, match=r"is_prime\(7\)"):
+        PrimeField(7)
 
 
 def _is_prime_12_bases(n):
