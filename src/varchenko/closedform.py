@@ -18,18 +18,16 @@ integers for every n (checked exactly here with big-integer arithmetic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import factorial
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .exactalg import (FactoredProduct, InternalConsistencyError, Monomial,
                        pair_var, single_var)
 from .families import FamilyError, FamilyKind
 
 
-@dataclass(frozen=True)
-class PrintedEdge:
+class PrintedEdge(NamedTuple):
     """One factor (1 - monomial^2)^exponent of a printed factorization.
 
     variant names the edge by what vanishes on it, over `entries`:

@@ -14,8 +14,7 @@ multivariate expansion is out of scope.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
 class ExactAlgError(ValueError):
@@ -179,8 +178,7 @@ def _exponent(e, name: str | None = None) -> int:
     raise ExactAlgError(f"{what} must be a nonnegative int, got {e!r}")
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple("Monomial", [("powers", tuple)])):
     """A product of weight variables with positive integer exponents.
 
     The constructor stores the canonical form: names checked against the
@@ -189,14 +187,14 @@ class Monomial:
     be a nonnegative int.
     """
 
-    powers: tuple[tuple[str, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, powers: tuple[tuple[str, int], ...] = ()):
         merged: dict[str, int] = {}
-        for name, e in self.powers:
+        for name, e in powers:
             if _exponent(e, name):
                 merged[validate_var(name)] = merged.get(name, 0) + e
-        object.__setattr__(self, "powers", tuple(sorted(merged.items())))
+        return super().__new__(cls, tuple(sorted(merged.items())))
 
     @staticmethod
     def from_dict(exps: Mapping[str, int]) -> "Monomial":
@@ -243,8 +241,7 @@ def _mono_sort_key(m: Monomial):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactoredProduct:
+class FactoredProduct(NamedTuple("FactoredProduct", [("factors", tuple)])):
     """A formal product prod_i (1 - m_i^2)^{e_i} over monomials m_i.
 
     The constructor stores the canonical form: factors with equal monomials
@@ -254,14 +251,14 @@ class FactoredProduct:
     polynomials iff they compare equal, and equal products hash equal.
     """
 
-    factors: tuple[tuple[Monomial, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, factors: tuple[tuple[Monomial, int], ...] = ()):
         merged: dict[Monomial, int] = {}
-        for mono, e in self.factors:
+        for mono, e in factors:
             if _exponent(e):
                 merged[mono] = merged.get(mono, 0) + e
-        object.__setattr__(self, "factors", tuple(
+        return super().__new__(cls, tuple(
             sorted(merged.items(), key=lambda it: _mono_sort_key(it[0]))))
 
     def variables(self) -> tuple[str, ...]:

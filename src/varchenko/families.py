@@ -23,9 +23,9 @@ the angles are exact and I2(4) coincides with B(2) as a line set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exactalg import pair_var, single_var
 from .geometry import Arrangement, Chamber, Hyperplane
@@ -38,18 +38,17 @@ class FamilyError(ValueError):
 _LETTERS = ("A", "B", "D", "I2")
 
 
-@dataclass(frozen=True)
-class FamilyKind:
+class FamilyKind(NamedTuple("FamilyKind", [("letter", str), ("param", int)])):
     """One of A(n), B(n), D(n), I2(m); n, m >= 2."""
 
-    letter: str
-    param: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.letter not in _LETTERS:
-            raise FamilyError(f"unknown family {self.letter!r}, expected one of {_LETTERS}")
-        if self.param < 2:
-            raise FamilyError(f"{self.letter} parameter must be >= 2, got {self.param}")
+    def __new__(cls, letter: str, param: int):
+        if letter not in _LETTERS:
+            raise FamilyError(f"unknown family {letter!r}, expected one of {_LETTERS}")
+        if param < 2:
+            raise FamilyError(f"{letter} parameter must be >= 2, got {param}")
+        return super().__new__(cls, letter, param)
 
     @staticmethod
     def parse(text: str) -> "FamilyKind":

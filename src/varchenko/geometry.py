@@ -45,11 +45,10 @@ The caller's size guards are checked on every call, cached or not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .exactalg import (FactoredProduct, InternalConsistencyError, Monomial,
                        validate_var)
@@ -117,8 +116,7 @@ def _as_fraction(x) -> Fraction:
     raise GeometryError(f"exact rational expected, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(NamedTuple):
     """The affine set {x : normal . x = offset}, carrying a weight variable."""
 
     normal: tuple[Fraction, ...]
@@ -193,8 +191,7 @@ class Arrangement:
         return tuple(h.weight for h in self.hyperplanes)
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     """Open region given by a sign per hyperplane, with a strict interior point."""
 
     signs: tuple[int, ...]
@@ -204,8 +201,7 @@ class Chamber:
         return "".join("+" if s > 0 else "-" for s in self.signs)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Nonempty intersection of hyperplanes, closed under implied ones."""
 
     containing: frozenset[int]

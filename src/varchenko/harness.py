@@ -16,12 +16,10 @@ versions forever.  Each trial gets an independent stream derived from
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .closedform import formula
 from .exactalg import (DEFAULT_PRIME, FactoredProduct, Monomial, PrimeField,
@@ -89,18 +87,19 @@ def trial_assignment(names, seed: int, trial: int, p: int) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DetSource:
+class DetSource(NamedTuple("DetSource", [("label", str),
+                                           ("factored", Optional[FactoredProduct]),
+                                           ("arrangement", Optional[Arrangement])])):
     """One side of an identity: either a factored product or a brute-force
     matrix determinant over an arrangement."""
 
-    label: str
-    factored: Optional[FactoredProduct] = None
-    arrangement: Optional[Arrangement] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.factored is None) == (self.arrangement is None):
+    def __new__(cls, label: str, factored: Optional[FactoredProduct] = None,
+                arrangement: Optional[Arrangement] = None):
+        if (factored is None) == (arrangement is None):
             raise ValueError("a source is either factored or an arrangement")
+        return super().__new__(cls, label, factored, arrangement)
 
     def variables(self) -> tuple[str, ...]:
         if self.factored is not None:
@@ -137,8 +136,7 @@ def source(name: str, A: Arrangement, kind: Optional[FamilyKind] = None) -> DetS
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactoredDiff:
+class FactoredDiff(NamedTuple):
     """Exponent disagreements between two factored products.
     Empty iff the products are equal."""
 
@@ -169,16 +167,14 @@ def compare_factored(lhs: FactoredProduct, rhs: FactoredProduct) -> FactoredDiff
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Trial:
+class Trial(NamedTuple):
     assignment_digest: str
     lhs_value: int
     rhs_value: int
     equal: bool
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     subject: str
     lhs: str
     rhs: str
@@ -238,6 +234,7 @@ class VerificationReport:
 
 
 def _assignment_digest(assignment: dict[str, int]) -> str:
+    import hashlib  # here, not at the top: importing hashlib loads OpenSSL
     text = ";".join(f"{k}={assignment[k]}" for k in sorted(assignment))
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 

@@ -413,6 +413,34 @@ def test_module_entry_point(module_env):
     assert json.loads(proc.stdout) == zagier(3).to_json_obj()
 
 
+_IMPORT_PROBE = """\
+import io, sys
+watched = {"dataclasses", "inspect", "hashlib", "_hashlib"}
+before = set(sys.modules)
+from varchenko.cli import main
+print(sorted(watched & (set(sys.modules) - before)))
+for argv in (["det", "--kind", "A:3", "--mode", "factored"],
+             ["verify", "--kind", "A:3", "--lhs", "formula", "--rhs", "bruteforce"]):
+    sys.stdout = io.StringIO()
+    code = main(argv)
+    sys.stdout = sys.__stdout__
+    print(code, sorted(watched & (set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_leaves_out_dataclasses_and_hashlib(module_env):
+    # a subprocess, since pytest itself has loaded these modules; hashlib
+    # waits for the first trial digest, which a factored det never makes
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                          capture_output=True, text=True, env=module_env)
+    assert proc.returncode == 0, proc.stderr
+    imported, det, verify = proc.stdout.splitlines()
+    assert imported == "[]"
+    assert det == "0 []"
+    assert verify.startswith("0 [") and "'hashlib'" in verify
+    assert "dataclasses" not in verify and "inspect" not in verify
+
+
 def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
     # every `varchenko ...` line of README's "Command line" section exits 0;
     # arr.txt is README's own arrangement-file example
